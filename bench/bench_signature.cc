@@ -25,12 +25,18 @@
 namespace schemr {
 namespace {
 
-/// Features + signatures for the first `n` schemas of the shared fixture,
-/// cached per size (building 1k feature sets takes ~100ms; benches reuse).
+/// A catalog over the first `n` schemas of the shared fixture (schema i
+/// under id i + 1) plus schema 0's standalone query features, as the
+/// engine builds them; cached per size (building 1k feature sets takes
+/// ~100ms; benches reuse).
 struct FeatureSet {
   std::vector<const Schema*> schemas;
-  std::vector<std::shared_ptr<SchemaFeatures>> features;
-  DfTable df;
+  std::shared_ptr<const MatchFeatureCatalog> catalog;
+  std::shared_ptr<SchemaFeatures> query;
+
+  const SchemaFeatures& candidate(size_t i) const {
+    return *catalog->Find(static_cast<SchemaId>(i + 1));
+  }
 };
 
 const FeatureSet& SharedFeatures(size_t n) {
@@ -40,13 +46,16 @@ const FeatureSet& SharedFeatures(size_t n) {
   if (it == cache->end()) {
     auto set = std::make_unique<FeatureSet>();
     const CorpusFixture& fixture = bench::SharedFixture(n);
-    FeatureBuildOptions options;
+    CatalogBuilder builder;
     for (const GeneratedSchema& g : fixture.corpus) {
       set->schemas.push_back(&g.schema);
-      set->features.push_back(BuildSchemaFeatures(g.schema, options));
-      set->df.AddDocument(*set->features.back());
+      Schema numbered = g.schema;
+      numbered.set_id(static_cast<SchemaId>(set->schemas.size()));
+      builder.Add(numbered);
     }
-    for (auto& f : set->features) ComputeSignature(f.get(), &set->df);
+    set->catalog = builder.Build();
+    set->query = BuildSchemaFeatures(*set->schemas[0], FeatureBuildOptions{});
+    ComputeSignature(set->query.get(), &set->catalog->df());
     it = cache->emplace(n, std::move(set)).first;
   }
   return *it->second;
@@ -74,13 +83,12 @@ BENCHMARK(BM_SignatureBuild)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 void BM_SignatureScreen(benchmark::State& state) {
   const FeatureSet& set = SharedFeatures(1000);
-  const SchemaSignature& query = set.features[0]->signature;
+  const SchemaSignature& query = set.query->signature;
   size_t i = 0;
   double sink = 0.0;
   for (auto _ : state) {
-    sink += EstimatedSimilarity(query,
-                                set.features[i % set.features.size()]
-                                    ->signature);
+    sink += EstimatedSimilarity(
+        query, set.candidate(i % set.schemas.size()).signature);
     ++i;
   }
   benchmark::DoNotOptimize(sink);
@@ -108,13 +116,19 @@ void BM_EnsemblePrepared(benchmark::State& state) {
   const FeatureSet& set = SharedFeatures(1000);
   MatcherEnsemble ensemble = MatcherEnsemble::Default();
   const Schema& query = *set.schemas[0];
+  // One memo per query, as a scoring worker keeps it: pairs shared by
+  // candidates are computed once.
   MatchScratch scratch;
   size_t i = 1;
   for (auto _ : state) {
     const size_t c = 1 + (i % (set.schemas.size() - 1));
     ++i;
-    MatchContext context{set.features[0].get(), set.features[c].get(),
-                         &scratch};
+    MatchContext context;
+    context.query_features = set.query.get();
+    context.query_terms = set.query->dictionary.get();
+    context.candidate_features = &set.candidate(c);
+    context.candidate_terms = &set.catalog->terms();
+    context.scratch = &scratch;
     benchmark::DoNotOptimize(
         ensemble.Match(query, *set.schemas[c], nullptr, nullptr, &context));
   }

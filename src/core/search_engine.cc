@@ -33,6 +33,8 @@ struct EngineMetrics {
   Counter* candidates_pruned;
   Counter* candidates_skipped;
   Counter* prefilter_rejected;
+  Counter* memo_lookups;
+  Counter* memo_fills;
   Histogram* total_seconds;
   Histogram* phase1_seconds;
   Histogram* phase2_seconds;
@@ -68,6 +70,12 @@ struct EngineMetrics {
                        "Candidates rejected by the signature pre-filter "
                        "before any matcher ran (approximate mode; "
                        "explicit opt-in per request)."),
+          r.GetCounter("schemr_match_pair_memo_lookups_total",
+                       "Term-pair similarities read from the per-query "
+                       "memo by the name and context matchers."),
+          r.GetCounter("schemr_match_pair_memo_fills_total",
+                       "Term-pair similarities the per-query memo had to "
+                       "compute (lookups minus fills were reused)."),
           r.GetHistogram("schemr_search_seconds",
                          "End-to-end search latency."),
           r.GetHistogram("schemr_search_phase1_seconds",
@@ -133,6 +141,8 @@ struct WorkerTally {
   size_t prefilter_rejected = 0;
   size_t matched_elements = 0;
   double tightness_penalty = 0.0;
+  uint64_t memo_lookups = 0;
+  uint64_t memo_fills = 0;
 };
 
 }  // namespace
@@ -384,7 +394,9 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
       // Null candidate features make the ensemble fall back to the legacy
       // per-matcher path for this candidate only.
       match_context.query_features = query_features.get();
+      match_context.query_terms = query_features->dictionary.get();
       match_context.candidate_features = catalog->Find(candidate.schema_id);
+      match_context.candidate_terms = &catalog->terms();
       match_context.scratch = match_scratch;
     }
     EnsembleResult ensemble_result = ensemble_.Match(
@@ -473,10 +485,15 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   }
 
   size_t prefilter_rejected_total = 0;
+  uint64_t memo_lookups_total = 0;
+  uint64_t memo_fills_total = 0;
   auto run_worker = [&] {
     WorkerTally tally;
     std::vector<char> benched_scratch;
     std::vector<double> seconds_scratch(num_matchers, 0.0);
+    // This worker's term-pair memo for this query: it lives across every
+    // candidate the worker claims, so a pair shared by many candidates is
+    // computed once.
     MatchScratch match_scratch;
     for (;;) {
       if (failed.load(std::memory_order_acquire)) break;
@@ -487,6 +504,8 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
         break;
       }
     }
+    tally.memo_lookups = match_scratch.lookups();
+    tally.memo_fills = match_scratch.fills();
     std::lock_guard<std::mutex> lock(merge_mutex);
     phase2_elapsed += tally.phase2_seconds;
     phase3_elapsed += tally.phase3_seconds;
@@ -497,6 +516,8 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     prefilter_rejected_total += tally.prefilter_rejected;
     matched_elements_total += tally.matched_elements;
     tightness_penalty_total += tally.tightness_penalty;
+    memo_lookups_total += tally.memo_lookups;
+    memo_fills_total += tally.memo_fills;
   };
 
   const size_t scoring_threads = std::max<size_t>(1, options.scoring_threads);
@@ -552,6 +573,8 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
       degradation.dropped_matchers();
   metrics.candidates_skipped->Increment(candidates_skipped);
   metrics.prefilter_rejected->Increment(prefilter_rejected_total);
+  metrics.memo_lookups->Increment(memo_lookups_total);
+  metrics.memo_fills->Increment(memo_fills_total);
 
   // Query feature + signature prep ran once up front on the request
   // thread; account it to phase 2, whose work it replaces.

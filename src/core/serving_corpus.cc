@@ -11,6 +11,7 @@ namespace {
 
 struct SignatureMetrics {
   Histogram* build_seconds;
+  Gauge* dictionary_terms;
 
   static const SignatureMetrics& Get() {
     static const SignatureMetrics* metrics = [] {
@@ -20,6 +21,9 @@ struct SignatureMetrics {
                          "Wall time spent building match-feature catalogs "
                          "and schema signatures (full rebuilds and "
                          "incremental per-schema builds)."),
+          r.GetGauge("schemr_match_term_dictionary_terms",
+                     "Distinct terms in the published snapshot's "
+                     "corpus-wide match-feature dictionary."),
       };
     }();
     return *metrics;
@@ -47,6 +51,11 @@ struct GraphCacheMetrics {
 };
 
 }  // namespace
+
+void ReportTermDictionary(const MatchFeatureCatalog& catalog) {
+  SignatureMetrics::Get().dictionary_terms->Set(
+      static_cast<double>(catalog.terms().size()));
+}
 
 std::shared_ptr<const EntityGraph> EntityGraphCache::GetOrBuild(
     SchemaId id, const Schema& schema) {
@@ -106,6 +115,7 @@ void ServingCorpus::PublishLocked() {
   // immutable no matter what later writers do to features_.
   next->match_features = std::make_shared<const MatchFeatureCatalog>(
       feature_options_, features_, std::make_shared<const DfTable>(df_));
+  ReportTermDictionary(*next->match_features);
   FaultInjector::Global().Perturb("corpus/commit/publish");
   snapshot_.store(std::move(next));
 }
@@ -117,17 +127,7 @@ Result<SchemaId> ServingCorpus::Ingest(Schema schema) {
   SCHEMR_ASSIGN_OR_RETURN(SchemaId id, repository_->Insert(schema));
   schema.set_id(id);
   SCHEMR_RETURN_IF_ERROR(index_.AddDocument(FlattenSchema(schema)));
-  {
-    // Incremental feature build: signed under the df table as of now.
-    // (A full Reindex recomputes every signature under the final df, so
-    // signatures converge on rebuild; they are advisory either way.)
-    Timer timer;
-    auto features = BuildSchemaFeatures(schema, feature_options_);
-    df_.AddDocument(*features);
-    ComputeSignature(features.get(), &df_);
-    features_[id] = std::move(features);
-    SignatureMetrics::Get().build_seconds->Observe(timer.ElapsedSeconds());
-  }
+  AddFeaturesLocked(schema);
   PublishLocked();
   return id;
 }
@@ -141,21 +141,30 @@ Status ServingCorpus::Update(Schema schema) {
     SCHEMR_RETURN_IF_ERROR(index->RemoveDocument(schema.id()));
     return index->AddDocument(FlattenSchema(schema));
   }));
-  {
-    Timer timer;
-    auto old = features_.find(schema.id());
-    if (old != features_.end()) {
-      df_.RemoveDocument(*old->second);
-      features_.erase(old);
-    }
-    auto features = BuildSchemaFeatures(schema, feature_options_);
-    df_.AddDocument(*features);
-    ComputeSignature(features.get(), &df_);
-    features_[schema.id()] = std::move(features);
-    SignatureMetrics::Get().build_seconds->Observe(timer.ElapsedSeconds());
+  auto old = features_.find(schema.id());
+  if (old != features_.end()) {
+    df_.RemoveDocument(*old->second);
+    features_.erase(old);
   }
+  AddFeaturesLocked(schema);
   PublishLocked();
   return Status::OK();
+}
+
+void ServingCorpus::AddFeaturesLocked(const Schema& schema) {
+  // Incremental feature build, signed under the df table as of now. (A
+  // full Reindex recomputes every signature under the final df, so
+  // signatures converge on rebuild; they are advisory either way.) New
+  // terms extend the dictionary copy-on-write: published snapshots keep
+  // the dictionary they were published with.
+  Timer timer;
+  std::shared_ptr<const TermDictionary> terms = df_.terms();
+  auto features = BuildSchemaFeatures(schema, feature_options_, &terms);
+  df_.ExtendTerms(std::move(terms));
+  df_.AddDocument(*features);
+  ComputeSignature(features.get(), *df_.terms(), &df_);
+  features_[schema.id()] = std::move(features);
+  SignatureMetrics::Get().build_seconds->Observe(timer.ElapsedSeconds());
 }
 
 Status ServingCorpus::Remove(SchemaId id) {
@@ -173,19 +182,7 @@ Status ServingCorpus::Remove(SchemaId id) {
 
 Status ServingCorpus::Reindex() {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  // Build against the repository view that will ship in the snapshot, so
-  // the rebuilt index and the published schemas agree exactly.
-  std::shared_ptr<const RepositoryView> schemas = repository_->View();
-  SCHEMR_RETURN_IF_ERROR(
-      index_.Apply([this, &schemas](InvertedIndex* index) {
-        *index = InvertedIndex(analyzer_options_);
-        return schemas->ForEach([index](const Schema& schema) {
-          return index->AddDocument(FlattenSchema(schema));
-        });
-      }));
-  SCHEMR_RETURN_IF_ERROR(RebuildCatalogLocked(*schemas, nullptr));
-  PublishLocked();
-  return Status::OK();
+  return RebuildLocked(nullptr);
 }
 
 Status ServingCorpus::ReindexWithStoredSignatures(
@@ -203,16 +200,7 @@ Status ServingCorpus::ReindexWithStoredSignatures(
     }
   }
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  std::shared_ptr<const RepositoryView> schemas = repository_->View();
-  SCHEMR_RETURN_IF_ERROR(
-      index_.Apply([this, &schemas](InvertedIndex* index) {
-        *index = InvertedIndex(analyzer_options_);
-        return schemas->ForEach([index](const Schema& schema) {
-          return index->AddDocument(FlattenSchema(schema));
-        });
-      }));
-  SCHEMR_RETURN_IF_ERROR(RebuildCatalogLocked(*schemas, stored_ptr));
-  PublishLocked();
+  SCHEMR_RETURN_IF_ERROR(RebuildLocked(stored_ptr));
   if (stats != nullptr) *stats = last_build_stats_;
   // Persist the (possibly rebuilt) signatures for the next open. Failure
   // to write is non-fatal: the cache is advisory.
@@ -221,10 +209,23 @@ Status ServingCorpus::ReindexWithStoredSignatures(
   return Status::OK();
 }
 
-Status ServingCorpus::RebuildCatalogLocked(const RepositoryView& schemas,
-                                           const StoredSignatures* stored) {
+Status ServingCorpus::RebuildLocked(const StoredSignatures* stored) {
+  // Build against the repository view that will ship in the snapshot, so
+  // the rebuilt index, the catalog and the published schemas agree
+  // exactly. The index gets a pass of its own before the catalog's, which
+  // costs a second decode of each schema: feeding both builds from one
+  // pass interleaves the index's allocations with the catalog's, and
+  // every later copy-on-write clone of that scattered index (one per
+  // ingest) takes markedly more CPU than the decode saves.
+  std::shared_ptr<const RepositoryView> schemas = repository_->View();
+  SCHEMR_RETURN_IF_ERROR(index_.Apply([&schemas, this](InvertedIndex* index) {
+    *index = InvertedIndex(analyzer_options_);
+    return schemas->ForEach([index](const Schema& schema) {
+      return index->AddDocument(FlattenSchema(schema));
+    });
+  }));
   CatalogBuilder builder(feature_options_);
-  SCHEMR_RETURN_IF_ERROR(schemas.ForEach([&builder](const Schema& schema) {
+  SCHEMR_RETURN_IF_ERROR(schemas->ForEach([&builder](const Schema& schema) {
     builder.Add(schema);
     return Status::OK();
   }));
@@ -232,6 +233,7 @@ Status ServingCorpus::RebuildCatalogLocked(const RepositoryView& schemas,
   features_ = catalog->features();
   df_ = catalog->df();
   SignatureMetrics::Get().build_seconds->Observe(last_build_stats_.seconds);
+  PublishLocked();
   return Status::OK();
 }
 

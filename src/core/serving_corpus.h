@@ -82,6 +82,11 @@ struct CorpusSnapshot {
   std::shared_ptr<const MatchFeatureCatalog> match_features;
 };
 
+/// Sets the schemr_match_term_dictionary_terms gauge to the size of the
+/// dictionary `catalog` publishes. ServingCorpus calls it on every
+/// publication; a caller pinning its own snapshot calls it once.
+void ReportTermDictionary(const MatchFeatureCatalog& catalog);
+
 /// Owns a SchemaRepository plus the index built over it and keeps the two
 /// in lock-step behind atomically swapped snapshots.
 class ServingCorpus {
@@ -144,11 +149,15 @@ class ServingCorpus {
   /// CorpusSnapshot and swaps it in. Caller holds writer_mutex_.
   void PublishLocked();
 
-  /// Full catalog rebuild from the given repository view (caller holds
-  /// writer_mutex_); replaces features_/df_ and records stats. `stored`
-  /// may be null (no persisted signatures to adopt).
-  Status RebuildCatalogLocked(const RepositoryView& schemas,
-                              const StoredSignatures* stored);
+  /// Full rebuild of the index and the catalog from the repository's
+  /// current view, then publication (caller holds writer_mutex_);
+  /// replaces features_/df_ and records stats. `stored` may be null (no
+  /// persisted signatures to adopt).
+  Status RebuildLocked(const StoredSignatures* stored);
+
+  /// Builds, signs and adds `schema`'s features to the working set,
+  /// extending the dictionary copy-on-write (caller holds writer_mutex_).
+  void AddFeaturesLocked(const Schema& schema);
 
   std::unique_ptr<SchemaRepository> repository_;
   AnalyzerOptions analyzer_options_;
@@ -158,7 +167,8 @@ class ServingCorpus {
   /// index snapshot composed by PublishLocked always belong together.
   mutable std::mutex writer_mutex_;
   /// Incremental working set behind writer_mutex_; PublishLocked freezes
-  /// a copy into each snapshot's MatchFeatureCatalog.
+  /// a copy into each snapshot's MatchFeatureCatalog. df_ carries the
+  /// current term dictionary, which is never mutated once published.
   std::unordered_map<SchemaId, std::shared_ptr<const SchemaFeatures>>
       features_;
   DfTable df_;

@@ -95,6 +95,11 @@ std::vector<ScoredDoc> Searcher::SearchTerms(
   uint64_t postings_scanned = 0;
 
   const double num_docs = static_cast<double>(index_->NumDocs());
+  // Tombstoned documents keep their postings until Vacuum(). Counting them
+  // in df would make IDF depend on the corpus's edit history, so an index
+  // maintained through updates and removals would rank differently from a
+  // fresh build of the same documents; df counts live documents instead.
+  const bool has_tombstones = index_->TotalDocSlots() != index_->NumDocs();
   ScratchSpace& scratch = Scratch(index_->TotalDocSlots());
   std::vector<Accumulator>& accumulators = scratch.accumulators;
   std::vector<uint32_t>& touched = scratch.touched;
@@ -127,7 +132,14 @@ std::vector<ScoredDoc> Searcher::SearchTerms(
       if (postings == nullptr) continue;
       ++terms_found;
       postings_scanned += postings->size();
-      const double df = static_cast<double>(postings->size());
+      size_t live = postings->size();
+      if (has_tombstones) {
+        live = 0;
+        for (const Posting& posting : *postings) {
+          live += index_->doc_info(posting.doc).deleted ? 0 : 1;
+        }
+      }
+      const double df = static_cast<double>(live);
       const double idf = 1.0 + std::log(num_docs / (df + 1.0));
       for (const Posting& posting : *postings) {
         const DocInfo& doc = index_->doc_info(posting.doc);

@@ -143,21 +143,66 @@ double ContextMatcher::SoftTermSetSimilarity(
 
 namespace {
 
-/// Same memo contract as the name matcher's fast path: the shared
-/// scratch holds one value per (query term, candidate term) pair and
-/// both matchers memoize the same pure function, so whoever runs first
-/// fills the cells the other reuses.
-double MemoizedTermSimilarity(const NameMatcher& matcher,
-                              const SchemaFeatures& qf,
-                              const SchemaFeatures& cf, MatchScratch* scratch,
-                              uint32_t q_term, uint32_t c_term) {
-  double* slot = scratch->Slot(q_term, c_term);
-  if (std::isnan(*slot)) {
-    const TermFeature& a = qf.terms[q_term];
-    const TermFeature& b = cf.terms[c_term];
-    *slot = a.text == b.text ? 1.0 : matcher.PreparedWordSimilarity(a, b);
+/// One neighborhood class: term indices in text order.
+struct ClassTerms {
+  const uint32_t* begin;
+  const uint32_t* end;
+  size_t size() const { return static_cast<size_t>(end - begin); }
+  bool empty() const { return begin == end; }
+};
+
+ClassTerms ClassOf(const SchemaFeatures& features, size_t k) {
+  const uint32_t* base = features.class_terms.data();
+  return {base + features.class_offsets[k], base + features.class_offsets[k + 1]};
+}
+
+/// Exact Jaccard of two classes, merged by term text: the legacy
+/// TermSetSimilarity over sorted unique term vectors.
+double ExactJaccard(const MatchScratch& memo, ClassTerms a, ClassTerms b) {
+  if (a.empty() || b.empty()) return 0.0;
+  size_t inter = 0;
+  for (const uint32_t *i = a.begin, *j = b.begin; i != a.end && j != b.end;) {
+    const int cmp = memo.QueryText(*i).compare(memo.CandidateText(*j));
+    if (cmp == 0) {
+      ++inter;
+      ++i;
+      ++j;
+    } else if (cmp < 0) {
+      ++i;
+    } else {
+      ++j;
+    }
   }
-  return *slot;
+  return static_cast<double>(inter) /
+         static_cast<double>(a.size() + b.size() - inter);
+}
+
+/// Exactly SoftTermSetSimilarity on two classes: directional
+/// best-alignment sums (thresholded), iterated in the sorted term order
+/// the legacy std::set produced, with pair scores from the memo.
+double SoftJaccard(MatchScratch& memo, const NameMatcher& matcher,
+                   double threshold, ClassTerms a, ClassTerms b) {
+  double sum_a = 0.0;
+  for (const uint32_t* t = a.begin; t != a.end; ++t) {
+    double best = 0.0;
+    for (const uint32_t* u = b.begin; u != b.end; ++u) {
+      best = std::max(best, memo.Similarity(matcher, *t, *u));
+      if (best >= 1.0) break;
+    }
+    if (best >= threshold) sum_a += best;
+  }
+  double sum_b = 0.0;
+  for (const uint32_t* u = b.begin; u != b.end; ++u) {
+    double best = 0.0;
+    for (const uint32_t* t = a.begin; t != a.end; ++t) {
+      best = std::max(best, memo.Similarity(matcher, *t, *u));
+      if (best >= 1.0) break;
+    }
+    if (best >= threshold) sum_b += best;
+  }
+  const double inter = (sum_a + sum_b) / 2.0;
+  const double uni = static_cast<double>(a.size() + b.size()) - inter;
+  return uni <= 0.0 ? 0.0 : inter / uni;
 }
 
 }  // namespace
@@ -170,9 +215,8 @@ SimilarityMatrix ContextMatcher::MatchPrepared(
   // The term profiles in the catalog were built under the catalog's name
   // options; this matcher's internal NameMatcher is default-constructed,
   // so the fast path additionally requires default name banding.
-  if (qf == nullptr || cf == nullptr || context.scratch == nullptr ||
-      qf->neighborhoods.size() != query.size() ||
-      cf->neighborhoods.size() != candidate.size() ||
+  if (!context.complete() || qf->neighborhood.size() != query.size() ||
+      cf->neighborhood.size() != candidate.size() ||
       !SameOptions(qf->context_options, options_) ||
       !SameOptions(cf->context_options, options_) ||
       !SameOptions(qf->name_options, name_matcher_.options()) ||
@@ -180,70 +224,29 @@ SimilarityMatrix ContextMatcher::MatchPrepared(
     return Match(query, candidate);
   }
 
-  SimilarityMatrix matrix(query.size(), candidate.size());
-
-  if (!options_.soft_alignment) {
-    // Exact Jaccard over the sorted term lists, merged by term text.
-    for (size_t r = 0; r < query.size(); ++r) {
-      const std::vector<uint32_t>& a = qf->neighborhoods[r];
-      for (size_t c = 0; c < candidate.size(); ++c) {
-        const std::vector<uint32_t>& b = cf->neighborhoods[c];
-        if (a.empty() || b.empty()) {
-          matrix.set(r, c, 0.0);
-          continue;
-        }
-        size_t i = 0, j = 0, inter = 0;
-        while (i < a.size() && j < b.size()) {
-          const int cmp = qf->terms[a[i]].text.compare(cf->terms[b[j]].text);
-          if (cmp == 0) {
-            ++inter;
-            ++i;
-            ++j;
-          } else if (cmp < 0) {
-            ++i;
-          } else {
-            ++j;
-          }
-        }
-        matrix.set(r, c, static_cast<double>(inter) /
-                             static_cast<double>(a.size() + b.size() - inter));
-      }
+  // Each value is a pure function of the two term lists, so it is
+  // computed once per pair of classes and scattered to every element pair
+  // whose neighborhoods they are.
+  context.scratch->Bind(context);
+  const size_t query_classes = qf->num_classes();
+  const size_t cand_classes = cf->num_classes();
+  std::vector<double> scores(query_classes * cand_classes);
+  for (size_t i = 0; i < query_classes; ++i) {
+    const ClassTerms a = ClassOf(*qf, i);
+    for (size_t j = 0; j < cand_classes; ++j) {
+      const ClassTerms b = ClassOf(*cf, j);
+      scores[i * cand_classes + j] =
+          options_.soft_alignment
+              ? SoftJaccard(*context.scratch, name_matcher_,
+                            options_.soft_threshold, a, b)
+              : ExactJaccard(*context.scratch, a, b);
     }
-    return matrix;
   }
-
-  // Soft Jaccard, exactly as SoftTermSetSimilarity: directional best-
-  // alignment sums (thresholded), iterated in the sorted term order the
-  // legacy std::set produced.
+  SimilarityMatrix matrix(query.size(), candidate.size());
   for (size_t r = 0; r < query.size(); ++r) {
-    const std::vector<uint32_t>& a = qf->neighborhoods[r];
+    const double* row = &scores[qf->neighborhood[r] * cand_classes];
     for (size_t c = 0; c < candidate.size(); ++c) {
-      const std::vector<uint32_t>& b = cf->neighborhoods[c];
-      double sum_a = 0.0;
-      for (uint32_t t : a) {
-        double best = 0.0;
-        for (uint32_t u : b) {
-          best = std::max(best, MemoizedTermSimilarity(
-                                    name_matcher_, *qf, *cf, context.scratch,
-                                    t, u));
-          if (best >= 1.0) break;
-        }
-        if (best >= options_.soft_threshold) sum_a += best;
-      }
-      double sum_b = 0.0;
-      for (uint32_t u : b) {
-        double best = 0.0;
-        for (uint32_t t : a) {
-          best = std::max(best, MemoizedTermSimilarity(
-                                    name_matcher_, *qf, *cf, context.scratch,
-                                    t, u));
-          if (best >= 1.0) break;
-        }
-        if (best >= options_.soft_threshold) sum_b += best;
-      }
-      const double inter = (sum_a + sum_b) / 2.0;
-      const double uni = static_cast<double>(a.size() + b.size()) - inter;
-      matrix.set(r, c, uni <= 0.0 ? 0.0 : inter / uni);
+      matrix.set(r, c, row[cf->neighborhood[c]]);
     }
   }
   return matrix;

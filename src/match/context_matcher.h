@@ -44,8 +44,9 @@ class ContextMatcher : public Matcher {
                          const Schema& candidate) const override;
 
   /// Columnar fast path: neighborhoods and term profiles come from the
-  /// precomputed SchemaFeatures, pair similarities from the shared memo.
-  /// Bit-identical to Match(): neighborhood term-id lists preserve the
+  /// precomputed SchemaFeatures, pair similarities from the shared memo,
+  /// and each similarity is computed once per pair of neighborhood
+  /// classes. Bit-identical to Match(): class term lists preserve the
   /// legacy std::set order, so the soft-Jaccard sums run over the same
   /// values in the same order. Falls back to Match() when the context is
   /// incomplete or built under different options (including a non-default

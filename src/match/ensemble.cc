@@ -121,15 +121,7 @@ EnsembleResult MatcherEnsemble::Match(
     const Schema& query, const Schema& candidate,
     std::vector<double>* matcher_seconds, const std::vector<char>* skip,
     const MatchContext* context) const {
-  const bool prepared = context != nullptr &&
-                        context->query_features != nullptr &&
-                        context->candidate_features != nullptr &&
-                        context->scratch != nullptr;
-  if (prepared) {
-    // One memo per candidate, shared by every matcher in this invocation.
-    context->scratch->Reset(context->query_features->terms.size(),
-                            context->candidate_features->terms.size());
-  }
+  const bool prepared = context != nullptr && context->complete();
   EnsembleResult result;
   result.matcher_names.reserve(matchers_.size());
   result.per_matcher.reserve(matchers_.size());

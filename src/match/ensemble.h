@@ -136,9 +136,10 @@ class MatcherEnsemble {
   /// site "match/<name>" so tests can force failures.
   ///
   /// `context`, when non-null, carries precomputed columnar features and
-  /// the per-candidate term-pair memo; matchers with a fast path use it
-  /// (bit-identical scores), the rest ignore it. The scratch is reset
-  /// here, once per candidate, so name and context share one memo.
+  /// the per-query term-pair memo; matchers with a fast path use it
+  /// (bit-identical scores), the rest ignore it. Name and context share
+  /// the memo, and it keeps its pairs across the candidates of one query
+  /// (MatchScratch::Bind).
   EnsembleResult Match(const Schema& query, const Schema& candidate,
                        std::vector<double>* matcher_seconds = nullptr,
                        const std::vector<char>* skip = nullptr,

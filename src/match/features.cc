@@ -1,11 +1,12 @@
 #include "match/features.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <set>
+#include <map>
 
 #include "schema/entity_graph.h"
 #include "text/porter_stemmer.h"
@@ -24,6 +25,13 @@ constexpr size_t kMaxPackedGram = 7;
 /// hashes by construction of the inputs alone.
 constexpr uint64_t kGramSeed = 0x5349474e41545552ull;  // "SIGNATUR"
 
+/// Dictionary lineages and feature serials: one process-wide sequence, so
+/// neither identity is ever reused (0 means "none" in MatchScratch).
+uint64_t NextIdentity() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 uint64_t PackGram(const std::string& gram) {
   uint64_t key = static_cast<uint64_t>(gram.size()) << 56;
   for (size_t i = 0; i < gram.size(); ++i) {
@@ -31,37 +39,6 @@ uint64_t PackGram(const std::string& gram) {
            << (48 - 8 * i);
   }
   return key;
-}
-
-/// Mirrors NameMatcher::NormalizeName (tokenize, lowercase, optional
-/// stem, drop empties). Kept in lock-step: the fast path is only exact
-/// because this produces the same word list.
-std::vector<std::string> NormalizeName(const std::string& name,
-                                       const NameMatcherOptions& options) {
-  std::vector<std::string> words;
-  for (const std::string& raw : TokenizeToStrings(name)) {
-    std::string word = ToLowerAscii(raw);
-    if (options.stem) word = PorterStem(word);
-    if (!word.empty()) words.push_back(std::move(word));
-  }
-  return words;
-}
-
-/// Mirrors the context matcher's AddTerms (which stems unconditionally).
-void AddContextTerms(const std::string& name, std::set<std::string>* terms) {
-  for (const std::string& raw : TokenizeToStrings(name)) {
-    terms->insert(PorterStem(ToLowerAscii(raw)));
-  }
-}
-
-/// Initials of a word list ("date","of","birth" → "dob"); mirrors the
-/// name matcher's helper.
-std::string Initials(const std::vector<std::string>& words) {
-  std::string out;
-  for (const std::string& word : words) {
-    if (!word.empty()) out += word[0];
-  }
-  return out;
 }
 
 uint64_t HashString(uint64_t hash, const std::string& s) {
@@ -85,6 +62,133 @@ uint64_t ContentHash(const Schema& schema) {
     hash = MixHash64(hash ^ fk.target_attribute);
   }
   return hash;
+}
+
+/// Sorts `terms` and drops duplicates: the set union of what was
+/// appended to it.
+void SortedUnion(std::vector<uint32_t>* terms) {
+  std::sort(terms->begin(), terms->end());
+  terms->erase(std::unique(terms->begin(), terms->end()), terms->end());
+}
+
+void Append(const std::vector<uint32_t>& from, std::vector<uint32_t>* to) {
+  to->insert(to->end(), from.begin(), from.end());
+}
+
+/// Builds everything but the signature; `intern(text)` returns the
+/// dictionary id of a term, adding it when new.
+template <typename Intern>
+std::shared_ptr<SchemaFeatures> BuildFeatures(
+    const Schema& schema, const FeatureBuildOptions& options, Intern intern) {
+  auto features = std::make_shared<SchemaFeatures>();
+  features->name_options = options.name;
+  features->context_options = options.context;
+  features->content_hash = ContentHash(schema);
+  features->serial = NextIdentity();
+  const size_t n = schema.size();
+
+  // Each element name's text work, done once. Name words mirror
+  // NameMatcher::NormalizeName (tokenize, lowercase, optional stem, drop
+  // empties); context terms mirror the context matcher's AddTerms, which
+  // stems unconditionally and keeps whatever the stemmer returns.
+  std::vector<std::vector<std::string>> words(n);
+  std::vector<std::vector<std::string>> context(n);
+  std::vector<std::string> vocabulary;
+  for (ElementId id = 0; id < n; ++id) {
+    for (const std::string& raw : TokenizeToStrings(schema.element(id).name)) {
+      std::string lower = ToLowerAscii(raw);
+      std::string stemmed = PorterStem(lower);
+      std::string word = options.name.stem ? stemmed : std::move(lower);
+      if (!word.empty()) words[id].push_back(std::move(word));
+      context[id].push_back(std::move(stemmed));
+    }
+    vocabulary.insert(vocabulary.end(), words[id].begin(), words[id].end());
+    vocabulary.push_back(Join(words[id], ""));
+    vocabulary.insert(vocabulary.end(), context[id].begin(),
+                      context[id].end());
+  }
+  // The vocabulary sorted by text: index order is the legacy std::set
+  // order every neighborhood iterates in.
+  std::sort(vocabulary.begin(), vocabulary.end());
+  vocabulary.erase(std::unique(vocabulary.begin(), vocabulary.end()),
+                   vocabulary.end());
+  auto index_of = [&vocabulary](const std::string& text) {
+    return static_cast<uint32_t>(
+        std::lower_bound(vocabulary.begin(), vocabulary.end(), text) -
+        vocabulary.begin());
+  };
+  features->terms.reserve(vocabulary.size());
+  for (const std::string& text : vocabulary) {
+    features->terms.push_back(intern(text));
+  }
+
+  // Prepared names, mirroring NameMatcher::Prepare.
+  features->names.resize(n);
+  for (ElementId id = 0; id < n; ++id) {
+    NameFeature& name = features->names[id];
+    name.first_word = static_cast<uint32_t>(features->name_words.size());
+    name.num_words = static_cast<uint32_t>(words[id].size());
+    for (const std::string& word : words[id]) {
+      features->name_words.push_back(index_of(word));
+    }
+    name.concat = index_of(Join(words[id], ""));
+  }
+
+  // Neighborhoods, mirroring NeighborhoodTermsWithGraph: the element, its
+  // parent and siblings, its children and, for FK neighbors, the entities
+  // linked to its containing entity. Siblings plus the element itself are
+  // all of the parent's children, so the union over a parent's children
+  // is computed once per parent instead of once per element.
+  std::vector<std::vector<uint32_t>> own(n);
+  for (ElementId id = 0; id < n; ++id) {
+    for (const std::string& term : context[id]) {
+      own[id].push_back(index_of(term));
+    }
+  }
+  std::vector<std::vector<uint32_t>> children_union(n);
+  for (ElementId id = 0; id < n; ++id) {
+    for (ElementId child : schema.Children(id)) {
+      Append(own[child], &children_union[id]);
+    }
+    SortedUnion(&children_union[id]);
+  }
+  std::vector<std::vector<uint32_t>> fk_union(n);
+  if (options.context.include_fk_neighbors) {
+    const EntityGraph graph(schema);
+    for (ElementId id = 0; id < n; ++id) {
+      if (schema.element(id).kind != ElementKind::kEntity) continue;
+      for (ElementId neighbor : graph.Neighbors(id)) {
+        Append(own[neighbor], &fk_union[id]);
+      }
+      SortedUnion(&fk_union[id]);
+    }
+  }
+  std::map<std::vector<uint32_t>, uint32_t> classes;
+  std::vector<uint32_t> terms;
+  features->neighborhood.resize(n);
+  for (ElementId id = 0; id < n; ++id) {
+    terms = own[id];
+    const ElementId parent = schema.element(id).parent;
+    if (parent != kNoElement) {
+      Append(own[parent], &terms);
+      Append(children_union[parent], &terms);
+    }
+    Append(children_union[id], &terms);
+    if (options.context.include_fk_neighbors) {
+      const ElementId entity = schema.EntityOf(id);
+      if (entity != kNoElement) Append(fk_union[entity], &terms);
+    }
+    SortedUnion(&terms);
+    auto [it, added] = classes.emplace(
+        terms, static_cast<uint32_t>(features->num_classes()));
+    if (added) {
+      Append(terms, &features->class_terms);
+      features->class_offsets.push_back(
+          static_cast<uint32_t>(features->class_terms.size()));
+    }
+    features->neighborhood[id] = it->second;
+  }
+  return features;
 }
 
 }  // namespace
@@ -154,141 +258,208 @@ bool SameOptions(const ContextMatcherOptions& a,
          a.include_fk_neighbors == b.include_fk_neighbors;
 }
 
+TermDictionary::TermDictionary() : lineage_(NextIdentity()) {}
+
+uint32_t TermDictionary::Find(const std::string& text) const {
+  auto it = ids_.find(text);
+  return it == ids_.end() ? kNotFound : it->second;
+}
+
+uint32_t TermDictionary::Intern(const std::string& text,
+                                const NameMatcher& profiler) {
+  auto [it, added] =
+      ids_.emplace(text, static_cast<uint32_t>(terms_.size()));
+  if (added) {
+    // The profile source of truth: the same ProfileOf the legacy matcher
+    // uses, so packed counts match the legacy NgramProfile exactly.
+    terms_.push_back(
+        TermFeature{text, PackProfile(profiler.WordProfile(text))});
+  }
+  return it->second;
+}
+
+DfTable::DfTable(std::shared_ptr<const TermDictionary> terms)
+    : terms_(std::move(terms)) {}
+
+void DfTable::ExtendTerms(std::shared_ptr<const TermDictionary> terms) {
+  terms_ = std::move(terms);
+}
+
 void DfTable::AddDocument(const SchemaFeatures& features) {
-  for (const TermFeature& term : features.terms) ++df_[term.text];
+  for (uint32_t term : features.terms) {
+    if (term >= df_.size()) df_.resize(term + 1, 0);
+    ++df_[term];
+  }
   ++documents_;
 }
 
 void DfTable::RemoveDocument(const SchemaFeatures& features) {
-  for (const TermFeature& term : features.terms) {
-    auto it = df_.find(term.text);
-    if (it == df_.end()) continue;
-    if (--it->second == 0) df_.erase(it);
+  for (uint32_t term : features.terms) {
+    if (term < df_.size() && df_[term] > 0) --df_[term];
   }
   if (documents_ > 0) --documents_;
 }
 
-uint32_t DfTable::Df(const std::string& term) const {
-  auto it = df_.find(term);
-  return it == df_.end() ? 0 : it->second;
-}
-
-double DfTable::Idf(const std::string& term) const {
+double DfTable::Idf(uint32_t term) const {
   return std::log(1.0 + static_cast<double>(documents_) /
                             (1.0 + static_cast<double>(Df(term))));
 }
 
-void MatchScratch::Reset(size_t query_terms, size_t candidate_terms) {
-  cand_terms = candidate_terms;
-  pair_scores.assign(query_terms * candidate_terms,
-                     std::numeric_limits<double>::quiet_NaN());
+double DfTable::Idf(const std::string& text) const {
+  // kNotFound is past every counted id, so Df() reads 0 for it.
+  return Idf(terms_->Find(text));
+}
+
+void MatchScratch::Bind(const MatchContext& context) {
+  const SchemaFeatures& query = *context.query_features;
+  const SchemaFeatures& candidate = *context.candidate_features;
+  const uint64_t lineage = context.candidate_terms->lineage();
+  query_ = &query;
+  query_terms_ = context.query_terms;
+  candidate_ = &candidate;
+  candidate_terms_ = context.candidate_terms;
+  if (query.serial != query_serial_ || lineage != candidate_lineage_) {
+    // A new query, or candidate ids from another id space: nothing filled
+    // so far applies.
+    query_serial_ = query.serial;
+    candidate_lineage_ = lineage;
+    rows_ = query.terms.size();
+    cells_.clear();
+    slots_.assign(std::max<size_t>(64, slots_.size()),
+                  {TermDictionary::kNotFound, 0});
+    num_columns_ = 0;
+  } else if (candidate.serial == candidate_serial_) {
+    return;  // columns_ already maps this candidate's vocabulary
+  }
+  candidate_serial_ = candidate.serial;
+  columns_.resize(candidate.terms.size());
+  for (size_t c = 0; c < candidate.terms.size(); ++c) {
+    columns_[c] = Column(candidate.terms[c]);
+  }
+}
+
+uint32_t MatchScratch::Column(uint32_t term) {
+  if (2 * (num_columns_ + 1) > slots_.size()) {
+    // Keep the load under one half: rehash into twice the slots.
+    std::vector<std::pair<uint32_t, uint32_t>> old(
+        2 * slots_.size(), {TermDictionary::kNotFound, 0});
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const auto& slot : old) {
+      if (slot.first == TermDictionary::kNotFound) continue;
+      size_t i = MixHash64(slot.first) & mask;
+      while (slots_[i].first != TermDictionary::kNotFound) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t i = MixHash64(term) & mask;
+  while (slots_[i].first != TermDictionary::kNotFound) {
+    if (slots_[i].first == term) return slots_[i].second;
+    i = (i + 1) & mask;
+  }
+  const uint32_t column = static_cast<uint32_t>(num_columns_++);
+  slots_[i] = {term, column};
+  cells_.resize(cells_.size() + rows_,
+                std::numeric_limits<double>::quiet_NaN());
+  return column;
+}
+
+double MatchScratch::Fill(const NameMatcher& matcher, uint32_t q,
+                          uint32_t c) {
+  ++fills_;
+  const TermFeature& a = query_terms_->term(query_->terms[q]);
+  const TermFeature& b = candidate_terms_->term(candidate_->terms[c]);
+  return a.text == b.text ? 1.0 : matcher.PreparedWordSimilarity(a, b);
 }
 
 std::shared_ptr<SchemaFeatures> BuildSchemaFeatures(
     const Schema& schema, const FeatureBuildOptions& options) {
-  auto features = std::make_shared<SchemaFeatures>();
-  features->name_options = options.name;
-  features->context_options = options.context;
-  features->content_hash = ContentHash(schema);
-
-  // The profile source of truth: the same ProfileOf the legacy matcher
-  // uses, so packed counts match the legacy NgramProfile exactly.
+  auto terms = std::make_shared<TermDictionary>();
   const NameMatcher profiler(options.name);
-  std::unordered_map<std::string, uint32_t> intern;
-  auto term_id = [&](const std::string& text) -> uint32_t {
-    auto it = intern.find(text);
-    if (it != intern.end()) return it->second;
-    const uint32_t id = static_cast<uint32_t>(features->terms.size());
-    intern.emplace(text, id);
-    features->terms.push_back(
-        TermFeature{text, PackProfile(profiler.WordProfile(text))});
-    return id;
-  };
-
-  // Prepared names, mirroring NameMatcher::Prepare.
-  features->names.resize(schema.size());
-  for (ElementId id = 0; id < schema.size(); ++id) {
-    NameFeature& name = features->names[id];
-    std::vector<std::string> words =
-        NormalizeName(schema.element(id).name, options.name);
-    name.words.reserve(words.size());
-    for (const std::string& word : words) name.words.push_back(term_id(word));
-    name.concat = term_id(Join(words, ""));
-    name.initials = Initials(words);
-  }
-
-  // Neighborhood term-id lists, mirroring NeighborhoodTermsWithGraph. The
-  // per-element std::set fixes the term order (sorted by text); the id
-  // list preserves it, so the soft-Jaccard sums run in the legacy order.
-  features->neighborhoods.resize(schema.size());
-  const EntityGraph graph(schema);
-  for (ElementId id = 0; id < schema.size(); ++id) {
-    std::set<std::string> terms;
-    const Element& element = schema.element(id);
-    AddContextTerms(element.name, &terms);
-    if (element.parent != kNoElement) {
-      AddContextTerms(schema.element(element.parent).name, &terms);
-      for (ElementId sibling : schema.Children(element.parent)) {
-        if (sibling != id) {
-          AddContextTerms(schema.element(sibling).name, &terms);
-        }
-      }
-    }
-    for (ElementId child : schema.Children(id)) {
-      AddContextTerms(schema.element(child).name, &terms);
-    }
-    if (options.context.include_fk_neighbors) {
-      ElementId entity = schema.EntityOf(id);
-      if (entity != kNoElement) {
-        for (ElementId neighbor : graph.Neighbors(entity)) {
-          AddContextTerms(schema.element(neighbor).name, &terms);
-        }
-      }
-    }
-    std::vector<uint32_t>& ids = features->neighborhoods[id];
-    ids.reserve(terms.size());
-    for (const std::string& term : terms) ids.push_back(term_id(term));
-  }
+  auto features =
+      BuildFeatures(schema, options, [&](const std::string& text) {
+        return terms->Intern(text, profiler);
+      });
+  features->dictionary = std::move(terms);
   return features;
 }
 
-void ComputeSignature(SchemaFeatures* features, const DfTable* df) {
+std::shared_ptr<SchemaFeatures> BuildSchemaFeatures(
+    const Schema& schema, const FeatureBuildOptions& options,
+    std::shared_ptr<const TermDictionary>* terms) {
+  const NameMatcher profiler(options.name);
+  std::shared_ptr<TermDictionary> extended;
+  auto features =
+      BuildFeatures(schema, options, [&](const std::string& text) {
+        const uint32_t id = (*terms)->Find(text);
+        if (id != TermDictionary::kNotFound) return id;
+        if (extended == nullptr) {
+          extended = std::make_shared<TermDictionary>(**terms);
+          *terms = extended;
+        }
+        return extended->Intern(text, profiler);
+      });
+  return features;
+}
+
+void ComputeSignature(SchemaFeatures* features, const TermDictionary& terms,
+                      const DfTable* df) {
+  // A df table over the same id space weighs by id; any other (a query's
+  // or a standalone build's private dictionary) by text. Both read the
+  // same count.
+  const bool same_ids =
+      df != nullptr && df->terms()->lineage() == terms.lineage();
   SimHashAccumulator simhash;
   // SimHash votes: every gram of every name word, weighted by the word's
-  // occurrence count and corpus IDF — rare, discriminative words dominate
+  // occurrence count and corpus IDF -- rare, discriminative words dominate
   // the bit pattern while boilerplate ("id", "name") barely moves it.
-  for (const NameFeature& name : features->names) {
-    for (uint32_t word_id : name.words) {
-      const TermFeature& term = features->terms[word_id];
-      const double weight = df != nullptr ? df->Idf(term.text) : 1.0;
-      for (const auto& [key, count] : term.profile.packed) {
-        simhash.Add(MixHash64(key ^ kGramSeed), weight * count);
-      }
-      for (const auto& [gram, count] : term.profile.overflow) {
-        simhash.Add(MixHash64(HashBytes(gram.data(), gram.size()) ^ kGramSeed),
-                    weight * count);
-      }
+  for (uint32_t word : features->name_words) {
+    const uint32_t id = features->terms[word];
+    const TermFeature& term = terms.term(id);
+    const double weight = df == nullptr ? 1.0
+                          : same_ids    ? df->Idf(id)
+                                        : df->Idf(term.text);
+    for (const auto& [key, count] : term.profile.packed) {
+      simhash.Add(MixHash64(key ^ kGramSeed), weight * count);
+    }
+    for (const auto& [gram, count] : term.profile.overflow) {
+      simhash.Add(MixHash64(HashBytes(gram.data(), gram.size()) ^ kGramSeed),
+                  weight * count);
     }
   }
   simhash.Finish(&features->signature);
 
   // MinHash sketch over the schema's whole term vocabulary (name words,
-  // concats, context terms) — a Jaccard estimate of shared vocabulary.
+  // concats, context terms) -- a Jaccard estimate of shared vocabulary.
   MinHashAccumulator minhash;
-  for (const TermFeature& term : features->terms) {
-    minhash.Add(HashBytes(term.text.data(), term.text.size()));
+  for (uint32_t id : features->terms) {
+    const std::string& text = terms.term(id).text;
+    minhash.Add(HashBytes(text.data(), text.size()));
   }
   minhash.Finish(&features->signature);
   SealSignature(&features->signature);
 }
 
+void ComputeSignature(SchemaFeatures* features, const DfTable* df) {
+  ComputeSignature(features, *features->dictionary, df);
+}
+
 CatalogBuilder::CatalogBuilder(FeatureBuildOptions options)
-    : options_(options) {}
+    : options_(options),
+      profiler_(options.name),
+      terms_(std::make_shared<TermDictionary>()),
+      df_(terms_) {}
 
 void CatalogBuilder::Add(const Schema& schema) {
-  auto features = BuildSchemaFeatures(schema, options_);
+  Timer timer;
+  auto features =
+      BuildFeatures(schema, options_, [this](const std::string& text) {
+        return terms_->Intern(text, profiler_);
+      });
   df_.AddDocument(*features);
   features_[schema.id()] = std::move(features);
+  add_seconds_ += timer.ElapsedSeconds();
 }
 
 std::shared_ptr<const MatchFeatureCatalog> CatalogBuilder::Build(
@@ -318,16 +489,22 @@ std::shared_ptr<const MatchFeatureCatalog> CatalogBuilder::Build(
       features->signature = *loaded;
       ++local.signatures_loaded;
     } else {
-      ComputeSignature(features.get(), &df_);
+      ComputeSignature(features.get(), *terms_, &df_);
       ++local.signatures_built;
     }
     frozen.emplace(id, std::move(features));
   }
-  features_.clear();
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return std::make_shared<const MatchFeatureCatalog>(
+  auto catalog = std::make_shared<const MatchFeatureCatalog>(
       options_, std::move(frozen), std::make_shared<const DfTable>(df_));
+  // The catalog owns the dictionary now; start over so a later Add can
+  // never mutate it.
+  features_.clear();
+  terms_ = std::make_shared<TermDictionary>();
+  df_ = DfTable(terms_);
+  local.seconds = add_seconds_ + timer.ElapsedSeconds();
+  add_seconds_ = 0.0;
+  if (stats != nullptr) *stats = local;
+  return catalog;
 }
 
 MatchFeatureCatalog::MatchFeatureCatalog(

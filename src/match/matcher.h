@@ -18,16 +18,26 @@
 namespace schemr {
 
 struct SchemaFeatures;  // match/features.h
-struct MatchScratch;    // match/features.h
+class TermDictionary;   // match/features.h
+class MatchScratch;     // match/features.h
 
 /// Precomputed inputs for one ensemble invocation: the columnar features
-/// of both schemas (built at index time / once per query) and the shared
-/// per-candidate term-pair memo. Any pointer may be null — a matcher that
-/// cannot use what it is given falls back to its Match() path.
+/// of both schemas (built at index time / once per query), the
+/// dictionaries their term ids resolve in, and the per-query term-pair
+/// memo. Any pointer may be null -- a matcher that cannot use what it is
+/// given falls back to its Match() path.
 struct MatchContext {
   const SchemaFeatures* query_features = nullptr;
+  const TermDictionary* query_terms = nullptr;
   const SchemaFeatures* candidate_features = nullptr;
+  const TermDictionary* candidate_terms = nullptr;
   MatchScratch* scratch = nullptr;
+
+  bool complete() const {
+    return query_features != nullptr && query_terms != nullptr &&
+           candidate_features != nullptr && candidate_terms != nullptr &&
+           scratch != nullptr;
+  }
 };
 
 /// Abstract element-level schema matcher.

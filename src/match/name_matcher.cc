@@ -178,66 +178,73 @@ double NameMatcher::PreparedWordSimilarity(const TermFeature& a,
 
 namespace {
 
-/// The shared term-pair memo lookup: identical texts score exactly 1.0
-/// (which WordSimilarity also produces for identical words — identical
-/// non-empty profiles give Dice 1.0 and no bonus applies), everything
-/// else computes once per (query term, candidate term) pair and is reused
-/// across every element pair of this candidate — and by the context
-/// matcher, which memoizes the same function.
-double MemoizedSimilarity(const NameMatcher& matcher,
-                          const SchemaFeatures& qf, const SchemaFeatures& cf,
-                          MatchScratch* scratch, uint32_t q_term,
-                          uint32_t c_term) {
-  double* slot = scratch->Slot(q_term, c_term);
-  if (std::isnan(*slot)) {
-    const TermFeature& a = qf.terms[q_term];
-    const TermFeature& b = cf.terms[c_term];
-    *slot = a.text == b.text ? 1.0 : matcher.PreparedWordSimilarity(a, b);
+/// Words of a prepared name, as vocabulary indices.
+struct Words {
+  const uint32_t* begin;
+  uint32_t size;
+};
+
+Words WordsOf(const SchemaFeatures& features, const NameFeature& name) {
+  return {features.name_words.data() + name.first_word, name.num_words};
+}
+
+/// `single` is one word spelling the initials of the multi-word `multi`
+/// ("dob" vs date_of_birth): the legacy acronym check, with initials read
+/// off the words' texts instead of stored per name.
+template <typename SingleText, typename MultiText>
+bool IsAcronym(Words single, SingleText single_text, Words multi,
+               MultiText multi_text) {
+  if (single.size != 1 || multi.size < 2) return false;
+  const std::string& word = single_text(single.begin[0]);
+  if (word.size() != multi.size) return false;
+  for (uint32_t k = 0; k < multi.size; ++k) {
+    if (word[k] != multi_text(multi.begin[k])[0]) return false;
   }
-  return *slot;
+  return true;
 }
 
 /// PairSimilarity on NameFeatures: the same word alignment, concat rescue
 /// and acronym check, with word profiles and pair scores coming from the
-/// precomputed catalog instead of per-candidate Prepare() calls. Sums
-/// iterate words in name order — the legacy FP summation order.
+/// per-query memo instead of per-candidate Prepare() calls. Sums iterate
+/// words in name order -- the legacy FP summation order.
 double PreparedPairSimilarity(const NameMatcher& matcher,
-                              const SchemaFeatures& qf,
-                              const SchemaFeatures& cf, MatchScratch* scratch,
+                              const MatchContext& context,
                               const NameFeature& a, const NameFeature& b) {
-  if (a.words.empty() || b.words.empty()) return 0.0;
+  const Words qa = WordsOf(*context.query_features, a);
+  const Words cb = WordsOf(*context.candidate_features, b);
+  if (qa.size == 0 || cb.size == 0) return 0.0;
+  MatchScratch& memo = *context.scratch;
 
   double sum_a = 0.0;
-  for (uint32_t qw : a.words) {
+  for (uint32_t i = 0; i < qa.size; ++i) {
     double best = 0.0;
-    for (uint32_t cw : b.words) {
-      best = std::max(best,
-                      MemoizedSimilarity(matcher, qf, cf, scratch, qw, cw));
+    for (uint32_t j = 0; j < cb.size; ++j) {
+      best = std::max(best, memo.Similarity(matcher, qa.begin[i], cb.begin[j]));
     }
     sum_a += best;
   }
   double sum_b = 0.0;
-  for (uint32_t cw : b.words) {
+  for (uint32_t j = 0; j < cb.size; ++j) {
     double best = 0.0;
-    for (uint32_t qw : a.words) {
-      best = std::max(best,
-                      MemoizedSimilarity(matcher, qf, cf, scratch, qw, cw));
+    for (uint32_t i = 0; i < qa.size; ++i) {
+      best = std::max(best, memo.Similarity(matcher, qa.begin[i], cb.begin[j]));
     }
     sum_b += best;
   }
-  double score = (sum_a + sum_b) /
-                 static_cast<double>(a.words.size() + b.words.size());
+  double score = (sum_a + sum_b) / static_cast<double>(qa.size + cb.size);
 
-  score = std::max(score, MemoizedSimilarity(matcher, qf, cf, scratch,
-                                             a.concat, b.concat));
+  score = std::max(score, memo.Similarity(matcher, a.concat, b.concat));
 
-  auto acronym = [&](const NameFeature& single, const SchemaFeatures& sf,
-                     const NameFeature& multi) {
-    return single.words.size() == 1 && multi.words.size() >= 2 &&
-           sf.terms[single.words[0]].text == multi.initials;
+  auto query_text = [&memo](uint32_t q) -> const std::string& {
+    return memo.QueryText(q);
   };
-  if (acronym(a, qf, b) || acronym(b, cf, a)) score = std::max(score, 0.8);
-
+  auto candidate_text = [&memo](uint32_t c) -> const std::string& {
+    return memo.CandidateText(c);
+  };
+  if (IsAcronym(qa, query_text, cb, candidate_text) ||
+      IsAcronym(cb, candidate_text, qa, query_text)) {
+    score = std::max(score, 0.8);
+  }
   return score;
 }
 
@@ -248,19 +255,18 @@ SimilarityMatrix NameMatcher::MatchPrepared(const Schema& query,
                                             const MatchContext& context) const {
   const SchemaFeatures* qf = context.query_features;
   const SchemaFeatures* cf = context.candidate_features;
-  if (qf == nullptr || cf == nullptr || context.scratch == nullptr ||
-      qf->names.size() != query.size() ||
+  if (!context.complete() || qf->names.size() != query.size() ||
       cf->names.size() != candidate.size() ||
       !SameOptions(qf->name_options, options_) ||
       !SameOptions(cf->name_options, options_)) {
     return Match(query, candidate);
   }
+  context.scratch->Bind(context);
   SimilarityMatrix matrix(query.size(), candidate.size());
   for (size_t r = 0; r < query.size(); ++r) {
     for (size_t c = 0; c < candidate.size(); ++c) {
-      matrix.set(r, c,
-                 PreparedPairSimilarity(*this, *qf, *cf, context.scratch,
-                                        qf->names[r], cf->names[c]));
+      matrix.set(r, c, PreparedPairSimilarity(*this, context, qf->names[r],
+                                              cf->names[c]));
     }
   }
   return matrix;

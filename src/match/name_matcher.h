@@ -51,7 +51,7 @@ class NameMatcher : public Matcher {
                          const Schema& candidate) const override;
 
   /// Columnar fast path: scores from precomputed SchemaFeatures through
-  /// the shared term-pair memo. Bit-identical to Match() — the packed
+  /// the per-query term-pair memo. Bit-identical to Match() — the packed
   /// Dice reproduces the NgramProfile counts exactly and the word
   /// alignment sums run in the same order. Falls back to Match() when the
   /// context is incomplete or was built under different options.
@@ -65,7 +65,8 @@ class NameMatcher : public Matcher {
   /// WordSimilarity on packed term features: packed Dice lifted by the
   /// same prefix/subsequence/synonym bonuses. Equals
   /// NormalizedWordSimilarity on the profiles the features were packed
-  /// from. Exposed for the context matcher's shared memo.
+  /// from. Exposed for the term-pair memo both fast paths share
+  /// (MatchScratch).
   double PreparedWordSimilarity(const struct TermFeature& a,
                                 const struct TermFeature& b) const;
 

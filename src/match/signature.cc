@@ -132,12 +132,17 @@ SimHashAccumulator::SimHashAccumulator() {
 void SimHashAccumulator::Add(uint64_t gram_hash, double weight) {
   // Expand the gram hash into a 256-bit decision stream: four dependent
   // splitmix steps, one per 64-bit word.
+  // The bits are random, so a branch on each one mispredicts half the
+  // time; the vote is selected by index instead. Each position still
+  // adds exactly +weight or -weight, in the same order, so the sums (and
+  // the signature bits) are unchanged.
+  const double vote[2] = {-weight, weight};
   uint64_t h = gram_hash;
   for (size_t w = 0; w < SchemaSignature::kSimHashWords; ++w) {
     h = MixHash64(h);
     uint64_t bits = h;
     for (size_t b = 0; b < 64; ++b) {
-      weights_[w * 64 + b] += (bits & 1u) ? weight : -weight;
+      weights_[w * 64 + b] += vote[bits & 1u];
       bits >>= 1;
     }
   }

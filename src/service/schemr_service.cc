@@ -1082,14 +1082,26 @@ std::string SchemrService::StatuszJson() const {
   {
     MetricsRegistry& registry = MetricsRegistry::Global();
     double catalog_schemas = 0.0;
+    double dictionary_terms = 0.0;
     if (corpus_ != nullptr) {
       std::shared_ptr<const CorpusSnapshot> snapshot = corpus_->Snapshot();
       if (snapshot->match_features != nullptr) {
         catalog_schemas =
             static_cast<double>(snapshot->match_features->size());
+        dictionary_terms =
+            static_cast<double>(snapshot->match_features->terms().size());
       }
     }
     JsonNum(&out, "catalog_schemas", catalog_schemas);
+    JsonNum(&out, "dictionary_terms", dictionary_terms);
+    JsonNum(&out, "pair_memo_lookups_total",
+            static_cast<double>(
+                registry.GetCounter("schemr_match_pair_memo_lookups_total")
+                    ->Value()));
+    JsonNum(&out, "pair_memo_fills_total",
+            static_cast<double>(
+                registry.GetCounter("schemr_match_pair_memo_fills_total")
+                    ->Value()));
     JsonNum(&out, "prefilter_rejected_total",
             static_cast<double>(
                 registry.GetCounter("schemr_search_prefilter_rejected_total")

@@ -25,6 +25,7 @@
 #include "core/serving_corpus.h"
 #include "index/indexer.h"
 #include "index/versioned_index.h"
+#include "match/features.h"
 #include "obs/metrics.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
@@ -439,19 +440,34 @@ TEST_F(ConcurrencyTest, SearchWhileIngestTorture) {
   ASSERT_TRUE(corpus_or.ok()) << corpus_or.status();
   ServingCorpus* corpus = corpus_or->get();
   SearchEngine engine(corpus);
+  const size_t initial_terms =
+      corpus->Snapshot()->match_features->terms().size();
 
   std::atomic<bool> writer_done{false};
   std::atomic<size_t> searches_run{0};
   std::atomic<size_t> search_errors{0};
   std::atomic<size_t> pairing_violations{0};
 
-  std::thread writer([corpus, cycles, &writer_done] {
+  // Every ingested schema carries an attribute named by a word no earlier
+  // schema has, so each commit extends the match-feature dictionary
+  // (copy-on-write) while the readers score against older snapshots.
+  auto torture_schema = [](size_t i) {
+    Schema schema = ClinicSchema("torture_" + std::to_string(i));
+    std::string word = "qx";
+    for (size_t n = i; ; n /= 26) {
+      word += static_cast<char>('a' + n % 26);
+      if (n < 26) break;
+    }
+    schema.AddAttribute(word, /*parent=*/0, DataType::kString);
+    return schema;
+  };
+  std::thread writer([corpus, cycles, &writer_done, &torture_schema] {
     for (size_t i = 0; i < cycles; ++i) {
-      auto id = corpus->Ingest(ClinicSchema("torture_" + std::to_string(i)));
+      auto id = corpus->Ingest(torture_schema(i));
       ASSERT_TRUE(id.ok()) << id.status();
       if (i % 5 == 4) {
         // Exercise the other mutators too.
-        Schema updated = ClinicSchema("torture_" + std::to_string(i));
+        Schema updated = torture_schema(i);
         updated.set_id(*id);
         ASSERT_TRUE(corpus->Update(updated).ok());
       }
@@ -495,6 +511,8 @@ TEST_F(ConcurrencyTest, SearchWhileIngestTorture) {
   std::shared_ptr<const CorpusSnapshot> final_snap = corpus->Snapshot();
   EXPECT_EQ(final_snap->index->NumDocs(), 4 + cycles);
   EXPECT_EQ(final_snap->schemas->Size(), 4 + cycles);
+  EXPECT_GE(final_snap->match_features->terms().size(),
+            initial_terms + cycles);
 }
 
 TEST_F(ConcurrencyTest, ServiceTortureUnderPerturbation) {

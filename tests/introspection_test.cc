@@ -278,6 +278,13 @@ TEST_F(IntrospectionServiceTest, FiveEndpointsServeLiveData) {
   EXPECT_GT(fields->at("result_cache.capacity"), 0.0);
   EXPECT_TRUE(fields->count("window_1m.qps")) << *statusz;
   EXPECT_TRUE(fields->count("window_15m.p99_ms")) << *statusz;
+  // The match-feature dictionary and the per-query pair memo at work.
+  EXPECT_GT(fields->at("signatures.dictionary_terms"), 0.0) << *statusz;
+  EXPECT_GT(fields->at("signatures.pair_memo_lookups_total"), 0.0)
+      << *statusz;
+  EXPECT_GT(fields->at("signatures.pair_memo_fills_total"), 0.0) << *statusz;
+  EXPECT_NE(metrics->find("schemr_match_term_dictionary_terms"),
+            std::string::npos);
 
   // /tracez: every request above was sampled, so traces were retained.
   auto tracez = HttpGet("127.0.0.1", port, "/tracez");

@@ -14,18 +14,22 @@
 #include <string>
 #include <vector>
 
+#include "core/query_parser.h"
 #include "core/result_cache.h"
 #include "core/search_engine.h"
 #include "core/serving_corpus.h"
 #include "corpus/schema_generator.h"
 #include "index/indexer.h"
+#include "match/context_matcher.h"
 #include "match/ensemble.h"
 #include "match/features.h"
 #include "match/signature.h"
 #include "obs/replay.h"
+#include "parse/ddl_writer.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 #include "text/ngram.h"
+#include "util/timer.h"
 
 namespace schemr {
 namespace {
@@ -129,6 +133,41 @@ TEST(SignatureTest, RelatedSchemasScoreAboveUnrelated) {
             EstimatedSimilarity(fa->signature, fc->signature));
 }
 
+/// Digest of every signature byte of a fixed generated corpus, in id
+/// order: IDF-weighted through a full catalog build, and unweighted
+/// through standalone feature builds.
+uint64_t SignatureDigest(const std::vector<Schema>& schemas,
+                         const MatchFeatureCatalog& catalog) {
+  uint64_t digest = 0;
+  auto fold = [&digest](const SchemaSignature& s) {
+    digest = MixHash64(digest ^ HashBytes(s.simhash, sizeof(s.simhash)));
+    digest = MixHash64(digest ^ HashBytes(s.minhash, sizeof(s.minhash)));
+  };
+  for (const Schema& schema : schemas) {
+    fold(catalog.Find(schema.id())->signature);
+    auto standalone = BuildSchemaFeatures(schema, catalog.options());
+    ComputeSignature(standalone.get(), nullptr);
+    fold(standalone->signature);
+  }
+  return digest;
+}
+
+TEST(SignatureTest, GoldenSignatureBytes) {
+  // Persisted signatures.sig files are keyed by corpus content, not by
+  // the signature algorithm: a change to how signatures are computed
+  // would silently mix stale persisted signatures with fresh ones. So the
+  // exact bytes are pinned here, and any algorithm change must fail.
+  std::vector<Schema> schemas = SmallCorpus(200, /*seed=*/2009);
+  CatalogBuilder builder;
+  for (size_t i = 0; i < schemas.size(); ++i) {
+    schemas[i].set_id(static_cast<SchemaId>(i + 1));
+    builder.Add(schemas[i]);
+  }
+  auto catalog = builder.Build();
+  ASSERT_EQ(catalog->size(), schemas.size());
+  EXPECT_EQ(SignatureDigest(schemas, *catalog), 0xd12192666885f9c9ull);
+}
+
 TEST(SignatureTest, SealedCrcDetectsBitFlip) {
   FeatureBuildOptions options;
   auto f = BuildSchemaFeatures(Clinic(), options);
@@ -141,16 +180,66 @@ TEST(SignatureTest, SealedCrcDetectsBitFlip) {
 
 // --- prepared matchers ------------------------------------------------------------
 
-TEST(PreparedMatchTest, EnsembleBitIdenticalWithAndWithoutContext) {
-  std::vector<Schema> schemas = SmallCorpus(12);
-  FeatureBuildOptions options;
-  std::vector<std::shared_ptr<SchemaFeatures>> features;
-  DfTable df;
-  for (const Schema& s : schemas) {
-    features.push_back(BuildSchemaFeatures(s, options));
-    df.AddDocument(*features.back());
+/// Asserts every per-matcher and combined cell of `prepared` equals the
+/// legacy computation of the same pair, to the bit: the fast path must be
+/// an optimization, never a behavior change.
+void ExpectCellsIdentical(const EnsembleResult& legacy,
+                          const EnsembleResult& prepared,
+                          const std::string& where) {
+  ASSERT_EQ(legacy.per_matcher.size(), prepared.per_matcher.size());
+  for (size_t m = 0; m < legacy.per_matcher.size(); ++m) {
+    const SimilarityMatrix& lm = legacy.per_matcher[m];
+    const SimilarityMatrix& pm = prepared.per_matcher[m];
+    ASSERT_EQ(lm.rows(), pm.rows());
+    ASSERT_EQ(lm.cols(), pm.cols());
+    for (size_t i = 0; i < lm.rows(); ++i) {
+      for (size_t j = 0; j < lm.cols(); ++j) {
+        ASSERT_EQ(lm.at(i, j), pm.at(i, j))
+            << where << " matcher " << m << " cell (" << i << "," << j
+            << ")";
+      }
+    }
   }
-  for (auto& f : features) ComputeSignature(f.get(), &df);
+  for (size_t i = 0; i < legacy.combined.rows(); ++i) {
+    for (size_t j = 0; j < legacy.combined.cols(); ++j) {
+      ASSERT_EQ(legacy.combined.at(i, j), prepared.combined.at(i, j))
+          << where;
+    }
+  }
+}
+
+/// A context over `query` and `candidate` with their own dictionaries.
+MatchContext StandaloneContext(const SchemaFeatures& query,
+                               const SchemaFeatures& candidate,
+                               MatchScratch* scratch) {
+  MatchContext context;
+  context.query_features = &query;
+  context.query_terms = query.dictionary.get();
+  context.candidate_features = &candidate;
+  context.candidate_terms = candidate.dictionary.get();
+  context.scratch = scratch;
+  return context;
+}
+
+/// `schemas` numbered 1..n and built into one catalog.
+std::shared_ptr<const MatchFeatureCatalog> NumberedCatalog(
+    std::vector<Schema>* schemas) {
+  CatalogBuilder builder;
+  for (size_t i = 0; i < schemas->size(); ++i) {
+    (*schemas)[i].set_id(static_cast<SchemaId>(i + 1));
+    builder.Add((*schemas)[i]);
+  }
+  return builder.Build();
+}
+
+TEST(PreparedMatchTest, EnsembleBitIdenticalWithAndWithoutContext) {
+  // The engine's configuration: a standalone query against candidates
+  // whose ids resolve in the catalog's corpus-wide dictionary, with one
+  // memo kept across every candidate.
+  std::vector<Schema> schemas = SmallCorpus(12);
+  auto catalog = NumberedCatalog(&schemas);
+  auto query_features = BuildSchemaFeatures(schemas[0], catalog->options());
+  ComputeSignature(query_features.get(), &catalog->df());
 
   MatcherEnsemble ensemble = MatcherEnsemble::Default();
   MatchScratch scratch;
@@ -158,31 +247,86 @@ TEST(PreparedMatchTest, EnsembleBitIdenticalWithAndWithoutContext) {
   for (size_t c = 1; c < schemas.size(); ++c) {
     EnsembleResult legacy = ensemble.Match(query, schemas[c]);
     MatchContext context;
-    context.query_features = features[0].get();
-    context.candidate_features = features[c].get();
+    context.query_features = query_features.get();
+    context.query_terms = query_features->dictionary.get();
+    context.candidate_features = catalog->Find(schemas[c].id());
+    context.candidate_terms = &catalog->terms();
     context.scratch = &scratch;
     EnsembleResult prepared =
         ensemble.Match(query, schemas[c], nullptr, nullptr, &context);
+    ExpectCellsIdentical(legacy, prepared, "candidate " + std::to_string(c));
+  }
+  // Later candidates reused pairs the earlier ones filled.
+  EXPECT_LT(scratch.fills(), scratch.lookups());
+}
 
-    ASSERT_EQ(legacy.per_matcher.size(), prepared.per_matcher.size());
-    for (size_t m = 0; m < legacy.per_matcher.size(); ++m) {
-      const SimilarityMatrix& lm = legacy.per_matcher[m];
-      const SimilarityMatrix& pm = prepared.per_matcher[m];
-      ASSERT_EQ(lm.rows(), pm.rows());
-      ASSERT_EQ(lm.cols(), pm.cols());
-      for (size_t i = 0; i < lm.rows(); ++i) {
-        for (size_t j = 0; j < lm.cols(); ++j) {
-          // Exact FP equality: the fast path must be an optimization,
-          // never a behavior change.
-          EXPECT_EQ(lm.at(i, j), pm.at(i, j))
-              << "matcher " << m << " candidate " << c << " cell (" << i
-              << "," << j << ")";
-        }
-      }
+TEST(PreparedMatchTest, ScratchReuseAcrossQueriesAndPrivateDictionaries) {
+  // One scratch, two different queries, and candidates that each own a
+  // private dictionary (so their term ids collide): the memo must start
+  // over whenever the query or the candidate's id space changes, and
+  // every cell must still equal the legacy value.
+  std::vector<Schema> schemas = SmallCorpus(8, /*seed=*/23);
+  std::vector<std::shared_ptr<SchemaFeatures>> features;
+  for (const Schema& s : schemas) {
+    features.push_back(BuildSchemaFeatures(s, FeatureBuildOptions{}));
+  }
+  std::vector<Schema> numbered = schemas;
+  auto catalog = NumberedCatalog(&numbered);
+
+  MatcherEnsemble ensemble = MatcherEnsemble::Default();
+  MatchScratch scratch;
+  for (size_t q : {size_t{0}, size_t{1}, size_t{0}}) {
+    for (size_t c = 0; c < schemas.size(); ++c) {
+      const std::string where =
+          "query " + std::to_string(q) + " candidate " + std::to_string(c);
+      EnsembleResult legacy = ensemble.Match(schemas[q], schemas[c]);
+      MatchContext own = StandaloneContext(*features[q], *features[c],
+                                           &scratch);
+      ExpectCellsIdentical(
+          legacy,
+          ensemble.Match(schemas[q], schemas[c], nullptr, nullptr, &own),
+          where + " (private dictionary)");
+      // The same candidate through the catalog dictionary, interleaved.
+      MatchContext shared = own;
+      shared.candidate_features = catalog->Find(c + 1);
+      shared.candidate_terms = &catalog->terms();
+      ExpectCellsIdentical(
+          legacy,
+          ensemble.Match(schemas[q], schemas[c], nullptr, nullptr, &shared),
+          where + " (catalog dictionary)");
     }
-    for (size_t i = 0; i < legacy.combined.rows(); ++i) {
-      for (size_t j = 0; j < legacy.combined.cols(); ++j) {
-        EXPECT_EQ(legacy.combined.at(i, j), prepared.combined.at(i, j));
+  }
+}
+
+TEST(PreparedMatchTest, ContextClassesBitIdenticalUnderEveryOption) {
+  // Neighborhood classes are built per context option set: exact Jaccard
+  // (merged by text across two dictionaries) and neighborhoods without
+  // FK neighbors must match the legacy matcher cell for cell too.
+  std::vector<Schema> schemas = SmallCorpus(10, /*seed=*/41);
+  for (bool soft : {true, false}) {
+    for (bool fk : {true, false}) {
+      FeatureBuildOptions options;
+      options.context.soft_alignment = soft;
+      options.context.include_fk_neighbors = fk;
+      const ContextMatcher matcher(options.context);
+      std::vector<std::shared_ptr<SchemaFeatures>> features;
+      for (const Schema& s : schemas) {
+        features.push_back(BuildSchemaFeatures(s, options));
+      }
+      MatchScratch scratch;
+      for (size_t c = 1; c < schemas.size(); ++c) {
+        MatchContext context =
+            StandaloneContext(*features[0], *features[c], &scratch);
+        const SimilarityMatrix legacy = matcher.Match(schemas[0], schemas[c]);
+        const SimilarityMatrix prepared =
+            matcher.MatchPrepared(schemas[0], schemas[c], context);
+        for (size_t i = 0; i < legacy.rows(); ++i) {
+          for (size_t j = 0; j < legacy.cols(); ++j) {
+            ASSERT_EQ(legacy.at(i, j), prepared.at(i, j))
+                << "soft=" << soft << " fk=" << fk << " candidate " << c
+                << " cell (" << i << "," << j << ")";
+          }
+        }
       }
     }
   }
@@ -201,19 +345,111 @@ TEST(PreparedMatchTest, MismatchedOptionsFallBackToLegacy) {
 
   MatcherEnsemble ensemble = MatcherEnsemble::Default();  // default options
   MatchScratch scratch;
-  MatchContext context{qf.get(), cf.get(), &scratch};
+  MatchContext context = StandaloneContext(*qf, *cf, &scratch);
   EnsembleResult legacy = ensemble.Match(Clinic(), Shop());
   EnsembleResult guarded =
       ensemble.Match(Clinic(), Shop(), nullptr, nullptr, &context);
-  ASSERT_EQ(legacy.per_matcher.size(), guarded.per_matcher.size());
-  for (size_t m = 0; m < legacy.per_matcher.size(); ++m) {
-    for (size_t i = 0; i < legacy.per_matcher[m].rows(); ++i) {
-      for (size_t j = 0; j < legacy.per_matcher[m].cols(); ++j) {
-        EXPECT_EQ(legacy.per_matcher[m].at(i, j),
-                  guarded.per_matcher[m].at(i, j));
-      }
+  ExpectCellsIdentical(legacy, guarded, "altered options");
+  EXPECT_EQ(scratch.lookups(), 0u);
+}
+
+// --- term dictionary ----------------------------------------------------------
+
+TEST(TermDictionaryTest, CatalogStoresEachTermOnce) {
+  std::vector<Schema> schemas = SmallCorpus(60);
+  auto catalog = NumberedCatalog(&schemas);
+  const TermDictionary& terms = catalog->terms();
+  size_t vocabulary_total = 0;
+  for (const Schema& schema : schemas) {
+    const SchemaFeatures* f = catalog->Find(schema.id());
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->dictionary, nullptr);
+    vocabulary_total += f->terms.size();
+    // The vocabulary is sorted by text and every index resolves.
+    for (size_t k = 1; k < f->terms.size(); ++k) {
+      EXPECT_LT(terms.term(f->terms[k - 1]).text, terms.term(f->terms[k]).text);
     }
+    // df counts each schema once per distinct term.
+    for (uint32_t id : f->terms) EXPECT_GE(catalog->df().Df(id), 1u);
+    // Every element's neighborhood class is a valid, sorted term list.
+    ASSERT_EQ(f->neighborhood.size(), schema.size());
+    for (uint32_t k : f->neighborhood) ASSERT_LT(k, f->num_classes());
+    EXPECT_LE(f->num_classes(), schema.size());
   }
+  // Shared terms are stored once: far fewer than the per-schema copies.
+  EXPECT_LT(terms.size() * 2, vocabulary_total);
+  EXPECT_EQ(catalog->df().documents(), schemas.size());
+}
+
+TEST(TermDictionaryTest, CopyOnWriteExtensionKeepsIdsAndLineage) {
+  auto base = std::make_shared<const TermDictionary>();
+  std::shared_ptr<const TermDictionary> terms = base;
+  auto clinic = BuildSchemaFeatures(Clinic(), FeatureBuildOptions{}, &terms);
+  // The first build had to extend: a new object, same id space.
+  ASSERT_NE(terms, base);
+  EXPECT_EQ(base->size(), 0u);
+  EXPECT_EQ(terms->lineage(), base->lineage());
+  const std::shared_ptr<const TermDictionary> published = terms;
+  const size_t published_size = published->size();
+
+  // A build needing no new term shares the dictionary as is.
+  auto again = BuildSchemaFeatures(Clinic(), FeatureBuildOptions{}, &terms);
+  EXPECT_EQ(terms, published);
+  EXPECT_EQ(again->terms, clinic->terms);
+
+  // New terms extend a copy; the published one never changes, and every
+  // id it had keeps its meaning.
+  auto shop = BuildSchemaFeatures(Shop(), FeatureBuildOptions{}, &terms);
+  ASSERT_NE(terms, published);
+  EXPECT_EQ(published->size(), published_size);
+  EXPECT_GT(terms->size(), published_size);
+  for (uint32_t id = 0; id < published_size; ++id) {
+    EXPECT_EQ(terms->term(id).text, published->term(id).text);
+  }
+  // Two standalone builds never share an id space.
+  EXPECT_NE(BuildSchemaFeatures(Clinic(), FeatureBuildOptions{})
+                ->dictionary->lineage(),
+            BuildSchemaFeatures(Clinic(), FeatureBuildOptions{})
+                ->dictionary->lineage());
+}
+
+TEST(TermDictionaryTest, SignatureIdfSameThroughIdsAndText) {
+  // A standalone build weighs its terms by text against the catalog's
+  // df table; the catalog's own features weigh by id. Same counts, same
+  // signature.
+  std::vector<Schema> schemas = SmallCorpus(30);
+  auto catalog = NumberedCatalog(&schemas);
+  for (const Schema& schema : schemas) {
+    auto standalone = BuildSchemaFeatures(schema, catalog->options());
+    ComputeSignature(standalone.get(), &catalog->df());
+    EXPECT_TRUE(standalone->signature == catalog->Find(schema.id())->signature)
+        << schema.name();
+  }
+}
+
+TEST(CatalogBuilderTest, BuildSecondsCoverAddAndBuild) {
+  // CatalogBuildStats::seconds is the wall time of the whole build: the
+  // feature pass in Add() as well as the signature pass in Build().
+  std::vector<Schema> schemas = SmallCorpus(200, /*seed=*/5);
+  CatalogBuilder builder;
+  Timer wall;
+  Timer add;
+  for (size_t i = 0; i < schemas.size(); ++i) {
+    schemas[i].set_id(static_cast<SchemaId>(i + 1));
+    builder.Add(schemas[i]);
+  }
+  const double add_seconds = add.ElapsedSeconds();
+  Timer build;
+  CatalogBuildStats stats;
+  auto catalog = builder.Build(nullptr, &stats);
+  const double build_seconds = build.ElapsedSeconds();
+  const double wall_seconds = wall.ElapsedSeconds();
+  EXPECT_LE(stats.seconds, wall_seconds);
+  // The untimed remainder is loop overhead; Build() alone is well under
+  // what Add() costs, so a Build-only timer fails this.
+  EXPECT_GT(stats.seconds, build_seconds);
+  EXPECT_GT(stats.seconds, 0.5 * (add_seconds + build_seconds));
+  EXPECT_EQ(stats.schemas, schemas.size());
 }
 
 // --- engine equivalence -----------------------------------------------------------
@@ -257,29 +493,131 @@ const char* kQueries[] = {
     "inventory stock warehouse",
 };
 
+/// Multi-table DDL fragments carrying foreign keys, cut from schemas
+/// outside the engine fixture's corpus.
+std::vector<std::string> FkFragments(size_t count) {
+  std::vector<std::string> fragments;
+  for (const Schema& s : SmallCorpus(300, /*seed=*/77)) {
+    if (s.NumEntities() >= 2 && s.NumEntities() <= 3 &&
+        !s.foreign_keys().empty()) {
+      fragments.push_back(WriteDdl(s));
+      if (fragments.size() == count) break;
+    }
+  }
+  return fragments;
+}
+
+/// Asserts two ranked lists agree to the bit.
+void ExpectSameRanking(const std::vector<SearchResult>& a,
+                       const std::vector<SearchResult>& b,
+                       const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].schema_id, b[i].schema_id) << where << " rank " << i;
+    // Scores must agree to the bit: exact mode may not change the
+    // ranking function, only its cost.
+    EXPECT_EQ(a[i].score, b[i].score) << where << " rank " << i;
+    EXPECT_EQ(a[i].tightness, b[i].tightness) << where << " rank " << i;
+    EXPECT_EQ(a[i].coarse_score, b[i].coarse_score) << where << " rank " << i;
+  }
+}
+
 TEST(EnginePrefilterTest, CatalogPathBitIdenticalToLegacyAtAnyThreadCount) {
-  EngineFixture f = MakeEngineFixture();
+  EngineFixture f = MakeEngineFixture(200);
   SearchEngine legacy(f.repo.get(), &f.indexer->index());
   SearchEngine columnar(f.snapshot);
 
-  for (const char* q : kQueries) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SearchEngineOptions options;
-      options.scoring_threads = threads;
-      auto a = legacy.SearchKeywords(q, options);
-      auto b = columnar.SearchKeywords(q, options);
-      ASSERT_TRUE(a.ok()) << a.status();
-      ASSERT_TRUE(b.ok()) << b.status();
-      ASSERT_EQ(a->size(), b->size()) << q << " threads=" << threads;
-      for (size_t i = 0; i < a->size(); ++i) {
-        EXPECT_EQ((*a)[i].schema_id, (*b)[i].schema_id);
-        // Scores must agree to the bit: exact mode may not change the
-        // ranking function, only its cost.
-        EXPECT_EQ((*a)[i].score, (*b)[i].score) << q << " rank " << i;
-        EXPECT_EQ((*a)[i].tightness, (*b)[i].tightness);
+  std::vector<QueryGraph> queries;
+  for (const char* q : kQueries) queries.push_back(*ParseQuery(q));
+  const std::vector<std::string> fragments = FkFragments(4);
+  ASSERT_EQ(fragments.size(), 4u);
+  for (const std::string& fragment : fragments) {
+    auto parsed = ParseQuery("", fragment);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ASSERT_GE(parsed->AsSchema().NumEntities(), 2u);
+    queries.push_back(std::move(*parsed));
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (bool pruning : {true, false}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SearchEngineOptions options;
+        options.scoring_threads = threads;
+        options.enable_pruning = pruning;
+        auto a = legacy.Search(queries[q], options);
+        auto b = columnar.Search(queries[q], options);
+        ASSERT_TRUE(a.ok()) << a.status();
+        ASSERT_TRUE(b.ok()) << b.status();
+        ExpectSameRanking(*a, *b,
+                          "query " + std::to_string(q) + " pruning=" +
+                              std::to_string(pruning) +
+                              " threads=" + std::to_string(threads));
       }
     }
   }
+}
+
+TEST(EnginePrefilterTest, IncrementalCorpusAnswersEqualFreshCreate) {
+  // A mixed run of Ingest/Update/Remove extends the dictionary in a
+  // different order than a fresh Create over the same repository assigns
+  // ids (and keeps the terms of removed schemas); every answer must still
+  // be the same.
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("schemr_incremental_catalog_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::remove_all(dir);
+  std::vector<QueryGraph> queries;
+  for (const char* q : kQueries) queries.push_back(*ParseQuery(q));
+  for (const std::string& fragment : FkFragments(3)) {
+    queries.push_back(*ParseQuery("", fragment));
+  }
+
+  std::vector<std::vector<SearchResult>> live_answers;
+  {
+    auto repo = SchemaRepository::Open(dir.string());
+    ASSERT_TRUE(repo.ok()) << repo.status();
+    for (Schema& s : SmallCorpus(40, /*seed=*/31)) {
+      ASSERT_TRUE((*repo)->Insert(std::move(s)).ok());
+    }
+    auto live = ServingCorpus::Create(std::move(*repo));
+    ASSERT_TRUE(live.ok()) << live.status();
+    std::vector<Schema> arrivals = SmallCorpus(30, /*seed=*/32);
+    std::vector<SchemaId> ingested;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+      auto id = (*live)->Ingest(arrivals[i]);
+      ASSERT_TRUE(id.ok()) << id.status();
+      ingested.push_back(*id);
+      if (i % 4 == 1) {
+        // An earlier arrival (an even one) gets another schema's content.
+        Schema replacement = arrivals[(i + 7) % arrivals.size()];
+        replacement.set_id(ingested[i / 2]);
+        ASSERT_TRUE((*live)->Update(replacement).ok());
+      }
+      if (i % 6 == 5) {
+        // An odd arrival leaves again; its terms stay in the dictionary.
+        ASSERT_TRUE((*live)->Remove(ingested[i - 2]).ok());
+      }
+    }
+    SearchEngine engine(live->get());
+    for (const QueryGraph& query : queries) {
+      auto results = engine.Search(query);
+      ASSERT_TRUE(results.ok()) << results.status();
+      live_answers.push_back(std::move(*results));
+    }
+  }
+
+  auto reopened = SchemaRepository::Open(dir.string());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto fresh = ServingCorpus::Create(std::move(*reopened));
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  SearchEngine engine(fresh->get());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto results = engine.Search(queries[q]);
+    ASSERT_TRUE(results.ok()) << results.status();
+    ExpectSameRanking(live_answers[q], *results, "query " + std::to_string(q));
+  }
+  fresh->reset();
+  fs::remove_all(dir);
 }
 
 TEST(EnginePrefilterTest, PrefilterRejectsAndCounts) {

@@ -170,6 +170,19 @@ std::shared_ptr<const MatchFeatureCatalog> LoadOrBuildCatalog(
   return catalog;
 }
 
+/// The "# signatures:" line on stderr: what standing up the catalog cost,
+/// and how many distinct terms its dictionary holds.
+void PrintCatalogLine(const CatalogBuildStats& stats,
+                      const MatchFeatureCatalog* catalog) {
+  std::fprintf(stderr,
+               "# signatures: %zu schemas (%zu loaded, %zu built, %zu "
+               "corrupt), %zu dictionary terms, in %.1f ms\n",
+               stats.schemas, stats.signatures_loaded, stats.signatures_built,
+               stats.corrupt_records,
+               catalog != nullptr ? catalog->terms().size() : size_t{0},
+               stats.seconds * 1e3);
+}
+
 /// Pins one snapshot pairing this index with this schema view (and the
 /// match-feature catalog, when one was built): the unit every CLI search
 /// and replay runs against.
@@ -183,6 +196,9 @@ std::shared_ptr<const CorpusSnapshot> PinSnapshot(
       std::shared_ptr<const InvertedIndex>(holder, &holder->index());
   snapshot->schemas = repo.View();
   snapshot->match_features = std::move(catalog);
+  if (snapshot->match_features != nullptr) {
+    ReportTermDictionary(*snapshot->match_features);
+  }
   return snapshot;
 }
 
@@ -392,12 +408,7 @@ int CmdStats(SchemaRepository* repo, const std::string& repo_dir, int argc,
                 "Time spent building the match-feature catalog (features "
                 "+ signatures) for the last CLI invocation.")
       ->Set(catalog_stats.seconds);
-  std::fprintf(stderr,
-               "# signatures: %zu schemas (%zu loaded, %zu built, %zu "
-               "corrupt) in %.1f ms\n",
-               catalog_stats.schemas, catalog_stats.signatures_loaded,
-               catalog_stats.signatures_built, catalog_stats.corrupt_records,
-               catalog_stats.seconds * 1e3);
+  PrintCatalogLine(catalog_stats, catalog.get());
   SchemrService service(repo,
                         PinSnapshot(*repo, std::move(*indexer), catalog));
   (void)service.EnableAudit(AuditDir(repo_dir));
@@ -807,12 +818,7 @@ int CmdReplay(int argc, char** argv) {
   // reproducible.
   CatalogBuildStats catalog_stats;
   auto catalog = LoadOrBuildCatalog(**repo, repo_dir, &catalog_stats);
-  std::fprintf(stderr,
-               "# signatures: %zu schemas (%zu loaded, %zu built, %zu "
-               "corrupt) in %.1f ms\n",
-               catalog_stats.schemas, catalog_stats.signatures_loaded,
-               catalog_stats.signatures_built, catalog_stats.corrupt_records,
-               catalog_stats.seconds * 1e3);
+  PrintCatalogLine(catalog_stats, catalog.get());
   auto snapshot = PinSnapshot(**repo, std::move(*indexer), catalog);
 
   size_t skipped = 0;
@@ -1103,6 +1109,11 @@ int CmdTop(const std::string& target, int argc, char** argv) {
         get("signatures.prefilter_rejected_total"),
         get("signatures.build_count"),
         get("signatures.build_seconds_total") * 1e3);
+    std::printf(
+        "terms    %.0f in dictionary, pair memo %.0f fills / %.0f lookups\n",
+        get("signatures.dictionary_terms"),
+        get("signatures.pair_memo_fills_total"),
+        get("signatures.pair_memo_lookups_total"));
     std::printf(
         "traces   %.0f offered, %.0f sampled, %.0f retained (1/%0.f)\n",
         get("traces.offered"), get("traces.sampled"), get("traces.retained"),
