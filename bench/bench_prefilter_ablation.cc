@@ -52,23 +52,16 @@ int Run() {
 
   // One pinned snapshot with the feature catalog: the engine every
   // configuration runs against.
-  CatalogBuilder builder;
-  std::shared_ptr<const RepositoryView> view = fixture->repository->View();
-  Status added = view->ForEach([&](const Schema& s) {
-    builder.Add(s);
-    return Status::OK();
-  });
-  if (!added.ok()) {
-    std::fprintf(stderr, "catalog failed: %s\n", added.ToString().c_str());
+  auto snapshot = PinSnapshot(
+      *fixture->repository,
+      std::shared_ptr<const InvertedIndex>(
+          std::shared_ptr<const InvertedIndex>(), &fixture->index()));
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "catalog failed: %s\n",
+                 snapshot.status().ToString().c_str());
     return 1;
   }
-  auto snapshot = std::make_shared<CorpusSnapshot>();
-  snapshot->version = fixture->repository->version();
-  snapshot->index = std::shared_ptr<const InvertedIndex>(
-      std::shared_ptr<const InvertedIndex>(), &fixture->index());
-  snapshot->schemas = view;
-  snapshot->match_features = builder.Build();
-  SearchEngine engine(snapshot);
+  SearchEngine engine(*snapshot);
 
   // The exact top-10 of every query, for window retention.
   std::vector<std::vector<uint64_t>> exact_windows;

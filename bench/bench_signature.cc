@@ -7,8 +7,9 @@
 //   2. the screen itself — EstimatedSimilarity per candidate, which must
 //      be orders of magnitude under a matcher invocation for the
 //      pre-filter to be worth anything;
-//   3. the prepared (columnar) ensemble vs the legacy per-candidate
-//      ensemble — the phase-2 kernel this PR rewrites;
+//   3. the ensemble on catalog features with a per-query memo (the
+//      engine's phase 2) vs the ensemble without a context, which builds
+//      standalone features for every pair (the composer's path);
 //   4. packed-profile Dice vs hash-map Dice — the innermost loop.
 
 #include <benchmark/benchmark.h>
@@ -98,7 +99,7 @@ BENCHMARK(BM_SignatureScreen)->Unit(benchmark::kNanosecond);
 
 // --- 3. the phase-2 kernel --------------------------------------------------------
 
-void BM_EnsembleLegacy(benchmark::State& state) {
+void BM_EnsembleStandalone(benchmark::State& state) {
   const FeatureSet& set = SharedFeatures(1000);
   MatcherEnsemble ensemble = MatcherEnsemble::Default();
   const Schema& query = *set.schemas[0];
@@ -110,7 +111,7 @@ void BM_EnsembleLegacy(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EnsembleLegacy)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EnsembleStandalone)->Unit(benchmark::kMicrosecond);
 
 void BM_EnsemblePrepared(benchmark::State& state) {
   const FeatureSet& set = SharedFeatures(1000);

@@ -147,41 +147,79 @@ struct WorkerTally {
 
 }  // namespace
 
+SearchEngine::SearchEngine(const SchemaRepository* repository,
+                           const InvertedIndex* index,
+                           MatcherEnsemble ensemble)
+    : annotations_(repository), ensemble_(std::move(ensemble)) {
+  // Non-owning alias: the caller keeps *index alive.
+  Result<std::shared_ptr<const CorpusSnapshot>> pinned = PinSnapshot(
+      *repository, std::shared_ptr<const InvertedIndex>(
+                       std::shared_ptr<const InvertedIndex>(), index));
+  pin_status_ = pinned.status();
+  if (pinned.ok()) pinned_ = *std::move(pinned);
+}
+
+SearchEngine::SearchEngine(std::shared_ptr<const CorpusSnapshot> snapshot,
+                           MatcherEnsemble ensemble,
+                           const SchemaRepository* annotations)
+    : pinned_(std::move(snapshot)),
+      annotations_(annotations),
+      ensemble_(std::move(ensemble)) {
+  if (pinned_ == nullptr || pinned_->index == nullptr ||
+      pinned_->schemas == nullptr || pinned_->match_features == nullptr) {
+    pin_status_ = Status::InvalidArgument(
+        "a pinned corpus snapshot needs an index, a schema view and a "
+        "match-feature catalog");
+  }
+}
+
+Result<std::shared_ptr<const CorpusSnapshot>> SearchEngine::Snapshot() const {
+  if (corpus_ != nullptr) return corpus_->Snapshot();
+  if (!pin_status_.ok()) return pin_status_;
+  return pinned_;
+}
+
 Result<std::vector<SearchResult>> SearchEngine::Search(
     const QueryGraph& query, const SearchEngineOptions& options) const {
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.searches->Increment();
-  if (query.empty()) {
-    metrics.search_errors->Increment();
-    return Status::InvalidArgument("empty query graph");
+  // Snapshot isolation: acquire the snapshot once and run every phase
+  // against it. Ingest commits that land mid-search publish new snapshots
+  // and never touch this one; a pinned engine uses the same snapshot for
+  // every search.
+  Result<std::shared_ptr<const CorpusSnapshot>> acquired = Snapshot();
+  Status refused = acquired.status();
+  if (refused.ok() && query.empty()) {
+    refused = Status::InvalidArgument("empty query graph");
   }
+  if (refused.ok() && options.annotation_boost > 0.0 &&
+      annotations_ == nullptr) {
+    refused = Status::InvalidArgument(
+        "annotation_boost needs an annotation repository, and this engine "
+        "was built without one");
+  }
+  if (!refused.ok()) {
+    metrics.search_errors->Increment();
+    return refused;
+  }
+  const std::shared_ptr<const CorpusSnapshot> snapshot = *std::move(acquired);
+  const MatchFeatureCatalog& catalog = *snapshot->match_features;
 
   Timer total_timer;
   SearchTrace* trace = options.trace;
   TraceSpan root_span(trace, "search");
-
-  // Snapshot isolation: in corpus mode, acquire the corpus once and run
-  // every phase against it. Ingest commits that land mid-search publish
-  // new snapshots and never touch this one. A pinned engine (replay) uses
-  // the same snapshot for every search.
-  std::shared_ptr<const CorpusSnapshot> snapshot = pinned_;
-  const InvertedIndex* index = index_;
-  if (snapshot == nullptr && corpus_ != nullptr) snapshot = corpus_->Snapshot();
-  if (snapshot != nullptr) {
-    index = snapshot->index.get();
-    if (trace != nullptr) {
-      trace->Annotate(root_span.id(), "corpus_version", snapshot->version);
-    }
+  if (trace != nullptr) {
+    trace->Annotate(root_span.id(), "corpus_version", snapshot->version);
   }
 
   // Result cache: a search is pure in (query, snapshot, options), so a
   // hit returns the stored ranked list with zero pipeline work. Requires
-  // a snapshot (the version keys invalidation), no live annotation reads,
-  // and no explain trace (explain exists to show the pipeline running).
-  const bool cache_eligible =
-      result_cache_ != nullptr && !options.cache_bypass &&
-      snapshot != nullptr && options.annotation_boost == 0.0 &&
-      trace == nullptr;
+  // no live annotation reads and no explain trace (explain exists to show
+  // the pipeline running).
+  const bool cache_eligible = result_cache_ != nullptr &&
+                              !options.cache_bypass &&
+                              options.annotation_boost == 0.0 &&
+                              trace == nullptr;
   ResultCacheKey cache_key;
   if (cache_eligible) {
     cache_key.fingerprint = FingerprintQuery(query);
@@ -202,7 +240,7 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   // Phase 1: candidate extraction.
   Timer phase_timer;
   TraceSpan phase1_span(trace, "phase1_extract");
-  CandidateExtractor extractor(index);
+  CandidateExtractor extractor(snapshot->index.get());
   std::vector<Candidate> candidates =
       extractor.Extract(query, options.extraction);
   phase1_span.Annotate("pool_requested",
@@ -232,26 +270,21 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
 
   // --- Columnar feature prep (DESIGN.md §16) -----------------------------
   //
-  // When the snapshot carries a match-feature catalog, the query's own
-  // features are built ONCE here (the legacy path re-derived them per
-  // candidate) and each candidate's precomputed features ride into the
-  // ensemble. Signatures additionally (a) order the candidate visit so
-  // high-similarity candidates raise the pruning floor early -- exact,
-  // since the floor only rises -- and (b) when options.prefilter > 0,
-  // reject low-similarity candidates outright (explicitly approximate).
+  // The query's own features are built ONCE here and each candidate's
+  // precomputed features come from the snapshot's catalog. Signatures
+  // additionally (a) order the candidate visit so high-similarity
+  // candidates raise the pruning floor early -- exact, since the floor
+  // only rises -- and (b) when options.prefilter > 0, reject
+  // low-similarity candidates outright (explicitly approximate).
   Timer prep_timer;
-  const MatchFeatureCatalog* catalog =
-      options.enable_matching && snapshot != nullptr
-          ? snapshot->match_features.get()
-          : nullptr;
   std::shared_ptr<SchemaFeatures> query_features;
   std::vector<double> signature_similarity;
-  if (catalog != nullptr) {
-    query_features = BuildSchemaFeatures(query_schema, catalog->options());
-    ComputeSignature(query_features.get(), &catalog->df());
+  if (options.enable_matching) {
+    query_features = BuildSchemaFeatures(query_schema, catalog.options());
+    ComputeSignature(query_features.get(), &catalog.df());
     signature_similarity.resize(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
-      const SchemaFeatures* f = catalog->Find(candidates[i].schema_id);
+      const SchemaFeatures* f = catalog.Find(candidates[i].schema_id);
       // A schema missing from the catalog is never screened or demoted.
       signature_similarity[i] =
           f != nullptr
@@ -260,7 +293,7 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     }
   }
   const bool prefilter_active =
-      catalog != nullptr && options.prefilter > 0.0;
+      options.enable_matching && options.prefilter > 0.0;
   const double prep_seconds = prep_timer.ElapsedSeconds();
 
   // --- Phases 2+3: parallel candidate scoring ----------------------------
@@ -323,9 +356,7 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     }
     // The schema comes from the same snapshot the candidates did, so the
     // id always resolves even if the schema was removed after Snapshot().
-    auto resolved = snapshot != nullptr
-                        ? snapshot->schemas->Get(candidate.schema_id)
-                        : repository_->Get(candidate.schema_id);
+    auto resolved = snapshot->schemas->Get(candidate.schema_id);
     if (!resolved.ok()) {
       std::lock_guard<std::mutex> lock(merge_mutex);
       if (first_error.ok()) first_error = resolved.status();
@@ -389,20 +420,22 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     // bench never races the ensemble's skip reads).
     Timer candidate_timer;
     if (track_matcher_time) seconds_scratch->assign(num_matchers, 0.0);
-    MatchContext match_context;
-    if (catalog != nullptr) {
-      // Null candidate features make the ensemble fall back to the legacy
-      // per-matcher path for this candidate only.
-      match_context.query_features = query_features.get();
-      match_context.query_terms = query_features->dictionary.get();
-      match_context.candidate_features = catalog->Find(candidate.schema_id);
-      match_context.candidate_terms = &catalog->terms();
-      match_context.scratch = match_scratch;
+    MatchContext match_context{query_features.get(),
+                               query_features->dictionary.get(),
+                               catalog.Find(candidate.schema_id),
+                               &catalog.terms(), match_scratch};
+    std::shared_ptr<SchemaFeatures> standalone;
+    if (match_context.candidate_features == nullptr) {
+      // Not in the catalog: features built here, in a private dictionary,
+      // run through the same kernel.
+      standalone = BuildSchemaFeatures(schema, catalog.options());
+      match_context.candidate_features = standalone.get();
+      match_context.candidate_terms = standalone->dictionary.get();
     }
     EnsembleResult ensemble_result = ensemble_.Match(
         query_schema, schema,
         track_matcher_time ? seconds_scratch : nullptr, benched_scratch,
-        catalog != nullptr ? &match_context : nullptr);
+        &match_context);
     SimilarityMatrix combined = std::move(ensemble_result.combined);
     tally->phase2_seconds += candidate_timer.ElapsedSeconds();
     ++tally->candidates_matched;
@@ -437,19 +470,10 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     }
 
     // Phase 3: tightness-of-fit, against the snapshot's shared entity
-    // graph when one exists (static mode builds a transient graph).
+    // graph.
     candidate_timer.Reset();
-    std::shared_ptr<const EntityGraph> shared_graph;
-    std::optional<EntityGraph> local_graph;
-    const EntityGraph* graph;
-    if (snapshot != nullptr) {
-      shared_graph =
-          snapshot->entity_graphs->GetOrBuild(candidate.schema_id, schema);
-      graph = shared_graph.get();
-    } else {
-      local_graph.emplace(schema);
-      graph = &*local_graph;
-    }
+    const std::shared_ptr<const EntityGraph> graph =
+        snapshot->entity_graphs->GetOrBuild(candidate.schema_id, schema);
     TightnessResult tof =
         ComputeTightnessOfFit(schema, *graph, combined, options.tightness);
     tally->phase3_seconds += candidate_timer.ElapsedSeconds();
@@ -617,11 +641,9 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   // tune ranking rather than define the corpus, and their accessors are
   // internally synchronized.
   if (options.annotation_boost > 0.0) {
-    const SchemaRepository* annotations =
-        corpus_ != nullptr ? corpus_->repository() : repository_;
     for (SearchResult& result : results) {
-      auto rating = annotations->GetRatingSummary(result.schema_id);
-      auto usage = annotations->GetUsageCount(result.schema_id);
+      auto rating = annotations_->GetRatingSummary(result.schema_id);
+      auto usage = annotations_->GetUsageCount(result.schema_id);
       double rating_norm = rating.ok() ? rating->average / 5.0 : 0.0;
       double usage_norm =
           usage.ok() ? static_cast<double>(*usage) /

@@ -120,6 +120,7 @@ struct SearchEngineOptions {
   /// Collaboration signal (paper Applications): when > 0, each result's
   /// score is multiplied by 1 + boost·(0.7·rating/5 + 0.3·usage_sat)
   /// where usage_sat = hits/(hits+10). Community-endorsed schemas rise.
+  /// InvalidArgument on an engine built without an annotation repository.
   double annotation_boost = 0.0;
   /// When set, Search records a per-phase span breakdown (explain mode)
   /// into this trace: a root "search" span with phase1_extract /
@@ -153,12 +154,12 @@ struct SearchEngineOptions {
   /// matcher runs -- explicitly approximate: a rejected candidate is out
   /// of the ranking even if the full ensemble would have admitted it.
   /// E20 in EXPERIMENTS.md measures the recall floor per threshold.
-  /// Candidates without a signature (no catalog entry) are never
-  /// rejected. Joins the result-cache options hash, so exact and
-  /// approximate answers never alias. Independently of this threshold,
-  /// signatures order the candidate visit so the pruning floor rises
-  /// early -- that reordering is exact (the floor only rises; DESIGN.md
-  /// §11) and needs no opt-in.
+  /// Candidates without a catalog entry (scored on features built on the
+  /// spot) are never rejected. Joins the result-cache options hash, so
+  /// exact and approximate answers never alias. Independently of this
+  /// threshold, signatures order the candidate visit so the pruning floor
+  /// rises early -- that reordering is exact (the floor only rises;
+  /// DESIGN.md §11) and needs no opt-in.
   double prefilter = 0.0;
   /// Escape hatch: skip the result cache for this request, both the
   /// lookup and the store (debugging, cache-vs-pipeline comparisons).
@@ -167,43 +168,48 @@ struct SearchEngineOptions {
   SearchStats* stats = nullptr;
 };
 
-/// Facade tying the repository, the index and the match engine together.
+/// Facade tying the corpus and the match engine together.
 ///
-/// Thread safety depends on which constructor was used:
-///   - Corpus mode (ServingCorpus*): Search acquires one CorpusSnapshot
-///     up front and runs every phase against it, so concurrent Search
-///     calls are safe even while the corpus ingests -- each search sees
-///     a consistent pre- or post-commit corpus, never a mix.
-///   - Static mode (raw repository/index pointers): the engine does NOT
-///     synchronize those references. Concurrent Search calls are safe
-///     only while nothing mutates the repository or index; mutating
-///     either during a search is a data race. Use corpus mode for any
-///     serving path with live ingest.
+/// Every search scores one complete CorpusSnapshot -- index, schema view
+/// and match-feature catalog -- through the same pipeline; the
+/// constructors differ only in where that snapshot comes from:
+///   - a live ServingCorpus: Search acquires the current snapshot up
+///     front and runs every phase against it, so concurrent Search calls
+///     are safe even while the corpus ingests -- each search sees a
+///     consistent pre- or post-commit corpus, never a mix;
+///   - a pinned snapshot: every Search runs against that one snapshot.
 /// The ensemble is const during Search (matchers are stateless); do not
 /// call mutable_ensemble() concurrently with searches.
 class SearchEngine {
  public:
-  /// Static mode: caller guarantees `repository` and `index` outlive the
-  /// engine and do not change while searches run.
+  /// Convenience: pins PinSnapshot(*repository, index) -- the
+  /// repository's current view, a non-owning alias of `*index` and a
+  /// freshly built catalog -- and reads annotations from `repository`.
+  /// Caller guarantees both outlive the engine and that `*index` does not
+  /// change while searches run. When the view cannot be read, every
+  /// Search returns that error.
   SearchEngine(const SchemaRepository* repository,
                const InvertedIndex* index,
-               MatcherEnsemble ensemble = MatcherEnsemble::Default())
-      : repository_(repository),
-        index_(index),
-        ensemble_(std::move(ensemble)) {}
+               MatcherEnsemble ensemble = MatcherEnsemble::Default());
 
-  /// Corpus mode: snapshot-isolated searches over a live corpus.
+  /// Snapshot-isolated searches over a live corpus, whose repository
+  /// answers annotation reads.
   explicit SearchEngine(const ServingCorpus* corpus,
                         MatcherEnsemble ensemble = MatcherEnsemble::Default())
-      : corpus_(corpus), ensemble_(std::move(ensemble)) {}
+      : corpus_(corpus),
+        annotations_(corpus->repository()),
+        ensemble_(std::move(ensemble)) {}
 
-  /// Pinned-snapshot mode: every Search runs against this one snapshot,
-  /// regardless of what the owning corpus publishes afterwards. The
-  /// replay engine uses this so a whole recorded workload executes
-  /// against a single corpus version (deterministic digests).
+  /// Every Search runs against this one snapshot, regardless of what the
+  /// owning corpus publishes afterwards. The replay engine uses this so a
+  /// whole recorded workload executes against a single corpus version
+  /// (deterministic digests). A snapshot lacking its index, schema view
+  /// or catalog is refused: every Search returns InvalidArgument.
+  /// `annotations`, when set, answers annotation reads (it must outlive
+  /// the engine); without it, annotation_boost is InvalidArgument.
   explicit SearchEngine(std::shared_ptr<const CorpusSnapshot> snapshot,
-                        MatcherEnsemble ensemble = MatcherEnsemble::Default())
-      : pinned_(std::move(snapshot)), ensemble_(std::move(ensemble)) {}
+                        MatcherEnsemble ensemble = MatcherEnsemble::Default(),
+                        const SchemaRepository* annotations = nullptr);
 
   /// Runs the full pipeline for a query graph.
   Result<std::vector<SearchResult>> Search(
@@ -214,14 +220,17 @@ class SearchEngine {
       const std::string& keywords,
       const SearchEngineOptions& options = {}) const;
 
+  /// The snapshot the next Search would run against, or the error every
+  /// Search returns.
+  Result<std::shared_ptr<const CorpusSnapshot>> Snapshot() const;
+
   const MatcherEnsemble& ensemble() const { return ensemble_; }
   MatcherEnsemble& mutable_ensemble() { return ensemble_; }
 
   /// Installs a snapshot-keyed LRU over final ranked results (see
-  /// core/result_cache.h for keying and invalidation). Effective only in
-  /// corpus or pinned mode -- the corpus version is what keys implicit
-  /// invalidation; static mode has no version and never caches. Like
-  /// mutable_ensemble, call before searches run concurrently.
+  /// core/result_cache.h for keying and invalidation: the snapshot's
+  /// version keys implicit invalidation). Like mutable_ensemble, call
+  /// before searches run concurrently.
   void EnableResultCache(size_t capacity = 256);
 
   /// The installed cache, or null. Exposed for stats and tests.
@@ -233,12 +242,14 @@ class SearchEngine {
   /// request asks for more helpers than the current pool holds.
   std::shared_ptr<BoundedExecutor> ScoringPool(size_t helpers) const;
 
-  /// Corpus mode when set; otherwise the static pointers below are used.
+  /// The live corpus when set; otherwise every search runs on pinned_.
   const ServingCorpus* corpus_ = nullptr;
-  /// Pinned-snapshot mode when set (takes precedence over corpus_).
   std::shared_ptr<const CorpusSnapshot> pinned_;
-  const SchemaRepository* repository_ = nullptr;
-  const InvertedIndex* index_ = nullptr;
+  /// Why pinned_ is unusable (an unreadable view, an incomplete
+  /// snapshot); OK otherwise.
+  Status pin_status_;
+  /// Ratings and usage for annotation_boost; null when none was given.
+  const SchemaRepository* annotations_ = nullptr;
   MatcherEnsemble ensemble_;
   mutable std::mutex scoring_pool_mutex_;
   mutable std::shared_ptr<BoundedExecutor> scoring_pool_;

@@ -50,11 +50,35 @@ struct GraphCacheMetrics {
   }
 };
 
-}  // namespace
-
+/// Sets the schemr_match_term_dictionary_terms gauge to the size of the
+/// dictionary `catalog` publishes: on every publication and every pin.
 void ReportTermDictionary(const MatchFeatureCatalog& catalog) {
   SignatureMetrics::Get().dictionary_terms->Set(
       static_cast<double>(catalog.terms().size()));
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const CorpusSnapshot>> PinSnapshot(
+    const SchemaRepository& repository,
+    std::shared_ptr<const InvertedIndex> index,
+    std::shared_ptr<const MatchFeatureCatalog> catalog) {
+  auto snapshot = std::make_shared<CorpusSnapshot>();
+  snapshot->schemas = repository.View();
+  snapshot->version = snapshot->schemas->version();
+  snapshot->index = std::move(index);
+  if (catalog == nullptr) {
+    CatalogBuilder builder;
+    SCHEMR_RETURN_IF_ERROR(
+        snapshot->schemas->ForEach([&builder](const Schema& schema) {
+          builder.Add(schema);
+          return Status::OK();
+        }));
+    catalog = builder.Build();
+  }
+  snapshot->match_features = std::move(catalog);
+  ReportTermDictionary(*snapshot->match_features);
+  return std::shared_ptr<const CorpusSnapshot>(std::move(snapshot));
 }
 
 std::shared_ptr<const EntityGraph> EntityGraphCache::GetOrBuild(
@@ -83,20 +107,14 @@ size_t EntityGraphCache::size() const {
   return graphs_.size();
 }
 
-ServingCorpus::ServingCorpus(std::unique_ptr<SchemaRepository> repository,
-                             AnalyzerOptions analyzer_options,
-                             FeatureBuildOptions feature_options)
+ServingCorpus::ServingCorpus(std::unique_ptr<SchemaRepository> repository)
     : repository_(std::move(repository)),
-      analyzer_options_(analyzer_options),
-      index_(analyzer_options),
-      feature_options_(feature_options),
       snapshot_(std::make_shared<const CorpusSnapshot>()) {}
 
 Result<std::unique_ptr<ServingCorpus>> ServingCorpus::Create(
-    std::unique_ptr<SchemaRepository> repository,
-    AnalyzerOptions analyzer_options, FeatureBuildOptions feature_options) {
-  std::unique_ptr<ServingCorpus> corpus(new ServingCorpus(
-      std::move(repository), analyzer_options, feature_options));
+    std::unique_ptr<SchemaRepository> repository) {
+  std::unique_ptr<ServingCorpus> corpus(
+      new ServingCorpus(std::move(repository)));
   SCHEMR_RETURN_IF_ERROR(corpus->Reindex());
   return corpus;
 }
@@ -114,7 +132,7 @@ void ServingCorpus::PublishLocked() {
   // shared_ptr-shallow, so publication stays cheap and the catalog stays
   // immutable no matter what later writers do to features_.
   next->match_features = std::make_shared<const MatchFeatureCatalog>(
-      feature_options_, features_, std::make_shared<const DfTable>(df_));
+      FeatureBuildOptions{}, features_, std::make_shared<const DfTable>(df_));
   ReportTermDictionary(*next->match_features);
   FaultInjector::Global().Perturb("corpus/commit/publish");
   snapshot_.store(std::move(next));
@@ -159,7 +177,7 @@ void ServingCorpus::AddFeaturesLocked(const Schema& schema) {
   // the dictionary they were published with.
   Timer timer;
   std::shared_ptr<const TermDictionary> terms = df_.terms();
-  auto features = BuildSchemaFeatures(schema, feature_options_, &terms);
+  auto features = BuildSchemaFeatures(schema, FeatureBuildOptions{}, &terms);
   df_.ExtendTerms(std::move(terms));
   df_.AddDocument(*features);
   ComputeSignature(features.get(), *df_.terms(), &df_);
@@ -219,12 +237,12 @@ Status ServingCorpus::RebuildLocked(const StoredSignatures* stored) {
   // ingest) takes markedly more CPU than the decode saves.
   std::shared_ptr<const RepositoryView> schemas = repository_->View();
   SCHEMR_RETURN_IF_ERROR(index_.Apply([&schemas, this](InvertedIndex* index) {
-    *index = InvertedIndex(analyzer_options_);
+    *index = InvertedIndex();
     return schemas->ForEach([index](const Schema& schema) {
       return index->AddDocument(FlattenSchema(schema));
     });
   }));
-  CatalogBuilder builder(feature_options_);
+  CatalogBuilder builder;
   SCHEMR_RETURN_IF_ERROR(schemas->ForEach([&builder](const Schema& schema) {
     builder.Add(schema);
     return Status::OK();

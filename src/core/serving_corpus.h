@@ -33,7 +33,6 @@
 #include "match/features.h"
 #include "repo/schema_repository.h"
 #include "schema/entity_graph.h"
-#include "text/analyzer.h"
 #include "util/atomic_shared_ptr.h"
 #include "util/status.h"
 
@@ -65,7 +64,8 @@ class EntityGraphCache {
 /// corpus. Everything reachable from it is const and safe to share
 /// across threads without further synchronization.
 struct CorpusSnapshot {
-  /// Monotone publication counter of the owning ServingCorpus.
+  /// Monotone publication counter of the owning ServingCorpus (of the
+  /// repository view, for a PinSnapshot).
   uint64_t version = 0;
   /// The text index at this version.
   std::shared_ptr<const InvertedIndex> index;
@@ -82,10 +82,16 @@ struct CorpusSnapshot {
   std::shared_ptr<const MatchFeatureCatalog> match_features;
 };
 
-/// Sets the schemr_match_term_dictionary_terms gauge to the size of the
-/// dictionary `catalog` publishes. ServingCorpus calls it on every
-/// publication; a caller pinning its own snapshot calls it once.
-void ReportTermDictionary(const MatchFeatureCatalog& catalog);
+/// Pins one complete snapshot without a live corpus: `index` paired with
+/// `repository`'s current view and a match-feature catalog over that
+/// view -- `catalog` when given, else one built here. The unit a search
+/// runs against outside a ServingCorpus (the CLI, replay, tests). Fails
+/// with the decode error of a view it cannot read, as
+/// ServingCorpus::Create does.
+Result<std::shared_ptr<const CorpusSnapshot>> PinSnapshot(
+    const SchemaRepository& repository,
+    std::shared_ptr<const InvertedIndex> index,
+    std::shared_ptr<const MatchFeatureCatalog> catalog = nullptr);
 
 /// Owns a SchemaRepository plus the index built over it and keeps the two
 /// in lock-step behind atomically swapped snapshots.
@@ -94,9 +100,7 @@ class ServingCorpus {
   /// Wraps `repository` (which may already hold schemas) and indexes its
   /// current contents. Fails if an existing schema cannot be re-indexed.
   static Result<std::unique_ptr<ServingCorpus>> Create(
-      std::unique_ptr<SchemaRepository> repository,
-      AnalyzerOptions analyzer_options = {},
-      FeatureBuildOptions feature_options = {});
+      std::unique_ptr<SchemaRepository> repository);
 
   /// Inserts the schema into the repository (durably, assigning an id),
   /// indexes it, and publishes the combined snapshot. Returns the id.
@@ -108,8 +112,8 @@ class ServingCorpus {
   /// Removes the schema from the repository and the index.
   Status Remove(SchemaId id);
 
-  /// Rebuilds the index from the repository's current contents (e.g.
-  /// after changing analyzer options upstream) and republishes.
+  /// Rebuilds the index and the catalog from the repository's current
+  /// contents and republishes.
   Status Reindex();
 
   /// Reindex() with signature persistence: tries to adopt CRC-valid
@@ -141,9 +145,7 @@ class ServingCorpus {
   const SchemaRepository* repository() const { return repository_.get(); }
 
  private:
-  ServingCorpus(std::unique_ptr<SchemaRepository> repository,
-                AnalyzerOptions analyzer_options,
-                FeatureBuildOptions feature_options);
+  explicit ServingCorpus(std::unique_ptr<SchemaRepository> repository);
 
   /// Composes the current repository view + index snapshot into a new
   /// CorpusSnapshot and swaps it in. Caller holds writer_mutex_.
@@ -160,9 +162,7 @@ class ServingCorpus {
   void AddFeaturesLocked(const Schema& schema);
 
   std::unique_ptr<SchemaRepository> repository_;
-  AnalyzerOptions analyzer_options_;
   VersionedIndex index_;
-  FeatureBuildOptions feature_options_;
   /// Serializes Ingest/Update/Remove/Reindex so the repository view and
   /// index snapshot composed by PublishLocked always belong together.
   mutable std::mutex writer_mutex_;

@@ -10,6 +10,10 @@
 // are compared with a soft Jaccard: terms align by exact equality or, when
 // enabled, by n-gram similarity above a threshold (so "pat" in a query
 // neighborhood still aligns with "patient").
+//
+// Neighborhoods are precomputed per schema as classes of identical term
+// sets (match/features.h): all attributes of a table share one, so each
+// pair of classes is scored once and scattered to its element pairs.
 
 #ifndef SCHEMR_MATCH_CONTEXT_MATCHER_H_
 #define SCHEMR_MATCH_CONTEXT_MATCHER_H_
@@ -21,6 +25,8 @@
 #include "match/name_matcher.h"
 
 namespace schemr {
+
+struct FeatureBuildOptions;  // match/features.h
 
 struct ContextMatcherOptions {
   /// Use n-gram soft term alignment (slower, fuzzier). When false, terms
@@ -40,37 +46,29 @@ class ContextMatcher : public Matcher {
 
   std::string Name() const override { return "context"; }
 
+  /// Builds standalone features for both schemas under this matcher's
+  /// options and scores them with MatchPrepared.
   SimilarityMatrix Match(const Schema& query,
                          const Schema& candidate) const override;
 
-  /// Columnar fast path: neighborhoods and term profiles come from the
-  /// precomputed SchemaFeatures, pair similarities from the shared memo,
-  /// and each similarity is computed once per pair of neighborhood
-  /// classes. Bit-identical to Match(): class term lists preserve the
-  /// legacy std::set order, so the soft-Jaccard sums run over the same
-  /// values in the same order. Falls back to Match() when the context is
-  /// incomplete or built under different options (including a non-default
-  /// name-matcher banding, which would change the term profiles).
+  /// Scores precomputed neighborhood classes, with word-pair similarities
+  /// from the shared memo. Class term lists are sorted by text, so the
+  /// soft-Jaccard sums run in a fixed order. Features built under other
+  /// options -- including a non-default name banding, which would change
+  /// the term profiles -- are never used: Match() builds them under this
+  /// matcher's options.
   SimilarityMatrix MatchPrepared(const Schema& query, const Schema& candidate,
                                  const MatchContext& context) const override;
 
-  /// The normalized term set of `id`'s neighborhood (exposed for tests).
+  /// The normalized term set of `id`'s neighborhood, sorted (exposed for
+  /// tests).
   std::vector<std::string> NeighborhoodTerms(const Schema& schema,
                                              ElementId id) const;
 
  private:
-  std::vector<std::string> NeighborhoodTermsWithGraph(
-      const Schema& schema, const class EntityGraph& graph,
-      ElementId id) const;
-
-  double TermSetSimilarity(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b) const;
-
-  /// Soft-Jaccard with a shared per-Match() profile/pair cache (opaque
-  /// pointer keeps the cache type out of the header).
-  double SoftTermSetSimilarity(const std::vector<std::string>& a,
-                               const std::vector<std::string>& b,
-                               void* cache) const;
+  /// The features this matcher scores: its own context options, and the
+  /// default name banding of the word similarity it aligns terms with.
+  FeatureBuildOptions BuildOptions() const;
 
   ContextMatcherOptions options_;
   NameMatcher name_matcher_;  // provides the soft-alignment similarity

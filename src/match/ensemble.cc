@@ -121,7 +121,6 @@ EnsembleResult MatcherEnsemble::Match(
     const Schema& query, const Schema& candidate,
     std::vector<double>* matcher_seconds, const std::vector<char>* skip,
     const MatchContext* context) const {
-  const bool prepared = context != nullptr && context->complete();
   EnsembleResult result;
   result.matcher_names.reserve(matchers_.size());
   result.per_matcher.reserve(matchers_.size());
@@ -143,8 +142,9 @@ EnsembleResult MatcherEnsemble::Match(
                                  std::string(std::strerror(err)));
       }
       result.per_matcher.push_back(
-          prepared ? matchers_[m]->MatchPrepared(query, candidate, *context)
-                   : matchers_[m]->Match(query, candidate));
+          context != nullptr
+              ? matchers_[m]->MatchPrepared(query, candidate, *context)
+              : matchers_[m]->Match(query, candidate));
     } catch (const InjectedCrash&) {
       throw;  // a simulated kill must never be absorbed as a matcher fault
     } catch (...) {

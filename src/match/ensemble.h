@@ -136,10 +136,11 @@ class MatcherEnsemble {
   /// site "match/<name>" so tests can force failures.
   ///
   /// `context`, when non-null, carries precomputed columnar features and
-  /// the per-query term-pair memo; matchers with a fast path use it
-  /// (bit-identical scores), the rest ignore it. Name and context share
-  /// the memo, and it keeps its pairs across the candidates of one query
-  /// (MatchScratch::Bind).
+  /// the per-query term-pair memo; the name and context matchers score
+  /// them, the rest ignore it. Name and context share the memo, and it
+  /// keeps its pairs across the candidates of one query
+  /// (MatchScratch::Bind). Without a context, each matcher builds what it
+  /// needs from the two schemas (the same scores, computed per call).
   EnsembleResult Match(const Schema& query, const Schema& candidate,
                        std::vector<double>* matcher_seconds = nullptr,
                        const std::vector<char>* skip = nullptr,

@@ -87,10 +87,9 @@ std::shared_ptr<SchemaFeatures> BuildFeatures(
   features->serial = NextIdentity();
   const size_t n = schema.size();
 
-  // Each element name's text work, done once. Name words mirror
-  // NameMatcher::NormalizeName (tokenize, lowercase, optional stem, drop
-  // empties); context terms mirror the context matcher's AddTerms, which
-  // stems unconditionally and keeps whatever the stemmer returns.
+  // Each element name's text work, done once. Name words are tokenized,
+  // lowercased, optionally stemmed, empties dropped; context terms are
+  // always stemmed and kept whatever the stemmer returns.
   std::vector<std::vector<std::string>> words(n);
   std::vector<std::vector<std::string>> context(n);
   std::vector<std::string> vocabulary;
@@ -107,8 +106,8 @@ std::shared_ptr<SchemaFeatures> BuildFeatures(
     vocabulary.insert(vocabulary.end(), context[id].begin(),
                       context[id].end());
   }
-  // The vocabulary sorted by text: index order is the legacy std::set
-  // order every neighborhood iterates in.
+  // The vocabulary sorted by text: index order is the text order every
+  // neighborhood iterates in.
   std::sort(vocabulary.begin(), vocabulary.end());
   vocabulary.erase(std::unique(vocabulary.begin(), vocabulary.end()),
                    vocabulary.end());
@@ -122,7 +121,7 @@ std::shared_ptr<SchemaFeatures> BuildFeatures(
     features->terms.push_back(intern(text));
   }
 
-  // Prepared names, mirroring NameMatcher::Prepare.
+  // Prepared names: words in name order, plus their concatenation.
   features->names.resize(n);
   for (ElementId id = 0; id < n; ++id) {
     NameFeature& name = features->names[id];
@@ -134,11 +133,11 @@ std::shared_ptr<SchemaFeatures> BuildFeatures(
     name.concat = index_of(Join(words[id], ""));
   }
 
-  // Neighborhoods, mirroring NeighborhoodTermsWithGraph: the element, its
-  // parent and siblings, its children and, for FK neighbors, the entities
-  // linked to its containing entity. Siblings plus the element itself are
-  // all of the parent's children, so the union over a parent's children
-  // is computed once per parent instead of once per element.
+  // Neighborhoods: the element, its parent and siblings, its children
+  // and, for FK neighbors, the entities linked to its containing entity.
+  // Siblings plus the element itself are all of the parent's children, so
+  // the union over a parent's children is computed once per parent
+  // instead of once per element.
   std::vector<std::vector<uint32_t>> own(n);
   for (ElementId id = 0; id < n; ++id) {
     for (const std::string& term : context[id]) {
@@ -270,8 +269,8 @@ uint32_t TermDictionary::Intern(const std::string& text,
   auto [it, added] =
       ids_.emplace(text, static_cast<uint32_t>(terms_.size()));
   if (added) {
-    // The profile source of truth: the same ProfileOf the legacy matcher
-    // uses, so packed counts match the legacy NgramProfile exactly.
+    // The profile source of truth: the name matcher's WordProfile, packed
+    // without changing a count.
     terms_.push_back(
         TermFeature{text, PackProfile(profiler.WordProfile(text))});
   }
@@ -445,16 +444,26 @@ void ComputeSignature(SchemaFeatures* features, const DfTable* df) {
   ComputeSignature(features, *features->dictionary, df);
 }
 
-CatalogBuilder::CatalogBuilder(FeatureBuildOptions options)
-    : options_(options),
-      profiler_(options.name),
-      terms_(std::make_shared<TermDictionary>()),
-      df_(terms_) {}
+SimilarityMatrix MatchStandalone(const Matcher& matcher, const Schema& query,
+                                 const Schema& candidate,
+                                 const FeatureBuildOptions& options) {
+  const auto query_features = BuildSchemaFeatures(query, options);
+  const auto candidate_features = BuildSchemaFeatures(candidate, options);
+  MatchScratch scratch;
+  const MatchContext context{
+      query_features.get(), query_features->dictionary.get(),
+      candidate_features.get(), candidate_features->dictionary.get(),
+      &scratch};
+  return matcher.MatchPrepared(query, candidate, context);
+}
+
+CatalogBuilder::CatalogBuilder()
+    : terms_(std::make_shared<TermDictionary>()), df_(terms_) {}
 
 void CatalogBuilder::Add(const Schema& schema) {
   Timer timer;
-  auto features =
-      BuildFeatures(schema, options_, [this](const std::string& text) {
+  auto features = BuildFeatures(
+      schema, FeatureBuildOptions{}, [this](const std::string& text) {
         return terms_->Intern(text, profiler_);
       });
   df_.AddDocument(*features);
@@ -495,7 +504,8 @@ std::shared_ptr<const MatchFeatureCatalog> CatalogBuilder::Build(
     frozen.emplace(id, std::move(features));
   }
   auto catalog = std::make_shared<const MatchFeatureCatalog>(
-      options_, std::move(frozen), std::make_shared<const DfTable>(df_));
+      FeatureBuildOptions{}, std::move(frozen),
+      std::make_shared<const DfTable>(df_));
   // The catalog owns the dictionary now; start over so a later Add can
   // never mutate it.
   features_.clear();

@@ -1,25 +1,24 @@
 // Columnar match features: everything the name and context matchers need
 // about one schema, precomputed at index time (DESIGN.md §16).
 //
-// The legacy matchers re-derived their inputs per candidate per query:
-// NameMatcher::Match re-tokenized, re-stemmed and re-profiled every
-// element name of BOTH schemas for every (query, candidate) pair, and
-// ContextMatcher::Match additionally rebuilt two EntityGraphs and every
-// neighborhood term set. This module moves all of it to index time, and
-// stores what schemas share only once:
+// Scoring a (query, candidate) pair straight from the two schemas means
+// re-tokenizing, re-stemming and re-profiling every element name of BOTH
+// schemas, and rebuilding two EntityGraphs and every neighborhood term
+// set, for every pair -- which is what the reference matchers in
+// tests/reference_matchers.h still do. This module moves all of it to
+// index time, and stores what schemas share only once:
 //
 //   - one corpus-wide TermDictionary: each distinct term's text and
 //     packed n-gram profile, stored once and referred to by id. Grams of
 //     <= 7 bytes pack bijectively into a uint64 (length byte +
 //     characters), so profile intersection is a sorted-array merge over
-//     integers, the merged counts equal the legacy NgramProfile counts,
-//     and the Dice similarity is bit-identical;
+//     integers, the merged counts equal the NgramProfile counts, and the
+//     Dice similarity is bit-identical to DiceSimilarity;
 //   - per schema, a vocabulary of dictionary ids sorted by term text;
 //     names and neighborhoods refer to terms by their index in it, so
-//     index order is the legacy std::set order and floating-point sums
-//     run in the legacy order;
-//   - per element, the prepared name (word and concat indices) mirroring
-//     NameMatcher::PreparedName;
+//     index order is text order and floating-point sums run in the
+//     reference's (std::set) order;
+//   - per element, the prepared name (word and concat indices);
 //   - the schema's distinct neighborhoods as classes (sorted term lists)
 //     plus a class id per element: all attributes of a table share one
 //     neighborhood, so the context matcher scores each pair of classes
@@ -33,7 +32,7 @@
 // published snapshot never sees a mutation. At query time MatchScratch
 // memoizes term-pair similarities per query across every candidate a
 // scoring worker visits. Matchers verify that features were built with
-// their exact options and fall back to the legacy path otherwise.
+// their exact options and build their own (MatchStandalone) otherwise.
 
 #ifndef SCHEMR_MATCH_FEATURES_H_
 #define SCHEMR_MATCH_FEATURES_H_
@@ -108,16 +107,16 @@ class TermDictionary {
   uint64_t lineage_;
 };
 
-/// Columnar mirror of NameMatcher::PreparedName. Words and the concat are
-/// indices into SchemaFeatures::terms.
+/// One element's prepared name. Words and the concat are indices into
+/// SchemaFeatures::terms.
 struct NameFeature {
   uint32_t first_word = 0;  ///< offset into SchemaFeatures::name_words
   uint32_t num_words = 0;
   uint32_t concat = 0;      ///< the concatenated words
 };
 
-/// The options a catalog was built under. Matchers compare these against
-/// their own options before taking the fast path.
+/// The options features were built under. Matchers compare these against
+/// their own options before scoring them.
 struct FeatureBuildOptions {
   NameMatcherOptions name;
   ContextMatcherOptions context;
@@ -138,8 +137,8 @@ struct SchemaFeatures {
   /// Every name's words, in element order and name order.
   std::vector<uint32_t> name_words;
   /// Distinct neighborhoods ("classes"): class k's term indices,
-  /// ascending (the legacy std::set order, which fixes FP summation
-  /// order), are class_terms[class_offsets[k] .. class_offsets[k + 1]).
+  /// ascending (text order, which fixes FP summation order), are
+  /// class_terms[class_offsets[k] .. class_offsets[k + 1]).
   std::vector<uint32_t> class_terms;
   std::vector<uint32_t> class_offsets{0};
   /// Per element id: the class of its neighborhood.
@@ -216,14 +215,15 @@ class DfTable {
 /// engine, tests and benches alike.
 class MatchScratch {
  public:
-  /// Points the memo at the (query, candidate) pair of a complete
-  /// context. Each prepared matcher binds before its first lookup; binding
-  /// the pair already bound is a no-op.
+  /// Points the memo at the (query, candidate) pair of `context`. Each
+  /// matcher kernel binds before its first lookup; binding the pair
+  /// already bound is a no-op.
   void Bind(const MatchContext& context);
 
   /// Similarity of query term `q` and candidate term `c` (indices into
   /// the bound features' vocabularies), computed by `matcher` on first
-  /// use. Identical texts score exactly 1.0, as WordSimilarity does.
+  /// use. Identical texts score exactly 1.0 (the Dice of a profile with
+  /// itself).
   double Similarity(const NameMatcher& matcher, uint32_t q, uint32_t c) {
     ++lookups_;
     double& cell = cells_[columns_[c] * rows_ + q];
@@ -289,6 +289,13 @@ void ComputeSignature(SchemaFeatures* features, const TermDictionary& terms,
 /// ComputeSignature for a standalone build (its private dictionary).
 void ComputeSignature(SchemaFeatures* features, const DfTable* df);
 
+/// Match() of a matcher that scores only through MatchPrepared: builds
+/// standalone features for both schemas under `options` (which must be
+/// the matcher's own) and runs the kernel with a local memo.
+SimilarityMatrix MatchStandalone(const Matcher& matcher, const Schema& query,
+                                 const Schema& candidate,
+                                 const FeatureBuildOptions& options);
+
 /// Counters from one catalog build, for `schemr stats` and metrics.
 struct CatalogBuildStats {
   size_t schemas = 0;
@@ -311,11 +318,13 @@ struct StoredSignatures {
 
 /// Two-pass catalog builder: Add() every schema (features + df), then
 /// Build() computes signatures under the final df table -- so a full
-/// build's signatures are independent of insertion order. Single use:
-/// Build() hands everything to the catalog and leaves the builder empty.
+/// build's signatures are independent of insertion order. Features are
+/// built under the default matcher options, which the default ensemble's
+/// matchers score. Single use: Build() hands everything to the catalog
+/// and leaves the builder empty.
 class CatalogBuilder {
  public:
-  explicit CatalogBuilder(FeatureBuildOptions options = {});
+  CatalogBuilder();
 
   /// Pass 1: features without signature, df accumulation.
   void Add(const Schema& schema);
@@ -327,7 +336,6 @@ class CatalogBuilder {
       CatalogBuildStats* stats = nullptr);
 
  private:
-  FeatureBuildOptions options_;
   NameMatcher profiler_;
   /// Extended in place: nothing else sees it until Build() freezes it.
   std::shared_ptr<TermDictionary> terms_;
@@ -348,8 +356,8 @@ class MatchFeatureCatalog {
           features,
       std::shared_ptr<const DfTable> df);
 
-  /// The features of `id`, or null when the schema is unknown (callers
-  /// fall back to the legacy matcher path).
+  /// The features of `id`, or null when the schema is unknown (the engine
+  /// then builds standalone features for it).
   const SchemaFeatures* Find(SchemaId id) const;
 
   const FeatureBuildOptions& options() const { return options_; }

@@ -24,20 +24,13 @@ class MatchScratch;     // match/features.h
 /// Precomputed inputs for one ensemble invocation: the columnar features
 /// of both schemas (built at index time / once per query), the
 /// dictionaries their term ids resolve in, and the per-query term-pair
-/// memo. Any pointer may be null -- a matcher that cannot use what it is
-/// given falls back to its Match() path.
+/// memo. Wherever a context is passed, every pointer is set.
 struct MatchContext {
   const SchemaFeatures* query_features = nullptr;
   const TermDictionary* query_terms = nullptr;
   const SchemaFeatures* candidate_features = nullptr;
   const TermDictionary* candidate_terms = nullptr;
   MatchScratch* scratch = nullptr;
-
-  bool complete() const {
-    return query_features != nullptr && query_terms != nullptr &&
-           candidate_features != nullptr && candidate_terms != nullptr &&
-           scratch != nullptr;
-  }
 };
 
 /// Abstract element-level schema matcher.
@@ -54,9 +47,8 @@ class Matcher {
                                  const Schema& candidate) const = 0;
 
   /// Match() with precomputed features. The default ignores the context;
-  /// matchers with a columnar fast path (name, context) override this and
-  /// MUST produce a bit-identical matrix to Match() — the fast path is a
-  /// latency optimization, never a scoring change (DESIGN.md §16).
+  /// the name and context matchers score only through it, and their
+  /// Match() builds the features itself (DESIGN.md §16).
   virtual SimilarityMatrix MatchPrepared(const Schema& query,
                                          const Schema& candidate,
                                          const MatchContext&) const {

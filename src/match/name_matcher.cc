@@ -1,13 +1,9 @@
 #include "match/name_matcher.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "match/features.h"
 #include "text/lexicon.h"
-#include "text/porter_stemmer.h"
-#include "text/tokenizer.h"
-#include "util/string_util.h"
 
 namespace schemr {
 
@@ -34,150 +30,6 @@ bool IsAbbreviationSubsequence(const std::string& needle,
   return true;
 }
 
-/// Initials of a word list ("date","of","birth" → "dob").
-std::string Initials(const std::vector<std::string>& words) {
-  std::string out;
-  for (const std::string& word : words) {
-    if (!word.empty()) out += word[0];
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::string> NameMatcher::NormalizeName(
-    const std::string& name) const {
-  std::vector<std::string> words;
-  for (const std::string& raw : TokenizeToStrings(name)) {
-    std::string word = ToLowerAscii(raw);
-    if (options_.stem) word = PorterStem(word);
-    if (!word.empty()) words.push_back(std::move(word));
-  }
-  return words;
-}
-
-NgramProfile NameMatcher::ProfileOf(const std::string& word) const {
-  NgramProfile profile;
-  if (options_.exhaustive_ngrams) {
-    profile = BuildNgramProfile(word, 1, word.size());
-  } else {
-    profile = BuildNgramProfile(word, options_.min_n, options_.max_n);
-    // Always include the whole word so exact matches of short words score.
-    ++profile[word];
-  }
-  return profile;
-}
-
-double NameMatcher::WordSimilarity(const std::string& a,
-                                   const NgramProfile& pa,
-                                   const std::string& b,
-                                   const NgramProfile& pb) const {
-  return LiftDice(DiceSimilarity(pa, pb), a, b);
-}
-
-double NameMatcher::LiftDice(double dice, const std::string& a,
-                             const std::string& b) const {
-  const std::string& shorter = a.size() <= b.size() ? a : b;
-  const std::string& longer = a.size() <= b.size() ? b : a;
-  if (shorter.size() >= 2 && shorter.size() < longer.size()) {
-    double coverage = static_cast<double>(shorter.size()) /
-                      static_cast<double>(longer.size());
-    if (longer.compare(0, shorter.size(), shorter) == 0) {
-      // Prefix abbreviations ("pat" for "patient", "obs" for
-      // "observation") share few long grams, so pure Dice under-scores
-      // exactly the case the paper highlights.
-      dice = std::max(dice, 0.55 + 0.45 * coverage);
-    } else if (IsAbbreviationSubsequence(shorter, longer)) {
-      // Consonant-skeleton abbreviations ("qty" for "quantity", "ht" for
-      // "height"): weaker evidence than a prefix, still far above random
-      // gram overlap.
-      dice = std::max(dice, 0.35 + 0.35 * coverage);
-    }
-  }
-  // Synonyms (gender↔sex) share no grams at all; only the lexicon can
-  // recover them.
-  if (options_.use_synonyms && dice < 0.85 && AreSynonyms(a, b)) {
-    dice = 0.85;
-  }
-  return dice;
-}
-
-NameMatcher::PreparedName NameMatcher::Prepare(const std::string& name) const {
-  PreparedName p;
-  p.words = NormalizeName(name);
-  for (const auto& w : p.words) p.word_profiles.push_back(ProfileOf(w));
-  p.concat = Join(p.words, "");
-  p.concat_profile = ProfileOf(p.concat);
-  p.initials = Initials(p.words);
-  return p;
-}
-
-double NameMatcher::PairSimilarity(const PreparedName& a,
-                                   const PreparedName& b) const {
-  if (a.words.empty() || b.words.empty()) return 0.0;
-
-  // Word-level soft alignment: every word finds its best counterpart; the
-  // two directional sums combine into a generalized Dice.
-  double sum_a = 0.0;
-  for (size_t i = 0; i < a.words.size(); ++i) {
-    double best = 0.0;
-    for (size_t j = 0; j < b.words.size(); ++j) {
-      best = std::max(best, WordSimilarity(a.words[i], a.word_profiles[i],
-                                           b.words[j], b.word_profiles[j]));
-    }
-    sum_a += best;
-  }
-  double sum_b = 0.0;
-  for (size_t j = 0; j < b.words.size(); ++j) {
-    double best = 0.0;
-    for (size_t i = 0; i < a.words.size(); ++i) {
-      best = std::max(best, WordSimilarity(a.words[i], a.word_profiles[i],
-                                           b.words[j], b.word_profiles[j]));
-    }
-    sum_b += best;
-  }
-  double score = (sum_a + sum_b) /
-                 static_cast<double>(a.words.size() + b.words.size());
-
-  // Concatenated comparison rescues cross-word grams ("dateofbirth" vs
-  // "date_of_birth" tokenizations that differ in word splits).
-  score = std::max(score, WordSimilarity(a.concat, a.concat_profile,
-                                         b.concat, b.concat_profile));
-
-  // Acronyms: a single short word equal to the other side's initials
-  // ("dob" vs date_of_birth). Both directions.
-  auto acronym = [](const PreparedName& single, const PreparedName& multi) {
-    return single.words.size() == 1 && multi.words.size() >= 2 &&
-           single.words[0] == multi.initials;
-  };
-  if (acronym(a, b) || acronym(b, a)) score = std::max(score, 0.8);
-
-  return score;
-}
-
-double NameMatcher::NameSimilarity(const std::string& a,
-                                   const std::string& b) const {
-  return PairSimilarity(Prepare(a), Prepare(b));
-}
-
-NgramProfile NameMatcher::WordProfile(const std::string& word) const {
-  return ProfileOf(word);
-}
-
-double NameMatcher::NormalizedWordSimilarity(const std::string& a,
-                                             const NgramProfile& pa,
-                                             const std::string& b,
-                                             const NgramProfile& pb) const {
-  return WordSimilarity(a, pa, b, pb);
-}
-
-double NameMatcher::PreparedWordSimilarity(const TermFeature& a,
-                                           const TermFeature& b) const {
-  return LiftDice(PackedDice(a.profile, b.profile), a.text, b.text);
-}
-
-namespace {
-
 /// Words of a prepared name, as vocabulary indices.
 struct Words {
   const uint32_t* begin;
@@ -189,8 +41,7 @@ Words WordsOf(const SchemaFeatures& features, const NameFeature& name) {
 }
 
 /// `single` is one word spelling the initials of the multi-word `multi`
-/// ("dob" vs date_of_birth): the legacy acronym check, with initials read
-/// off the words' texts instead of stored per name.
+/// ("dob" vs date_of_birth), read off the words' texts.
 template <typename SingleText, typename MultiText>
 bool IsAcronym(Words single, SingleText single_text, Words multi,
                MultiText multi_text) {
@@ -203,13 +54,12 @@ bool IsAcronym(Words single, SingleText single_text, Words multi,
   return true;
 }
 
-/// PairSimilarity on NameFeatures: the same word alignment, concat rescue
-/// and acronym check, with word profiles and pair scores coming from the
-/// per-query memo instead of per-candidate Prepare() calls. Sums iterate
-/// words in name order -- the legacy FP summation order.
-double PreparedPairSimilarity(const NameMatcher& matcher,
-                              const MatchContext& context,
-                              const NameFeature& a, const NameFeature& b) {
+/// Name-vs-name similarity on NameFeatures: every word finds its best
+/// counterpart and the two directional sums combine into a generalized
+/// Dice; the concatenated names and acronyms can only raise it. Sums
+/// iterate words in name order, which fixes the floating-point result.
+double PreparedPairSimilarity(const NameMatcher& matcher, const MatchContext& context,
+                      const NameFeature& a, const NameFeature& b) {
   const Words qa = WordsOf(*context.query_features, a);
   const Words cb = WordsOf(*context.candidate_features, b);
   if (qa.size == 0 || cb.size == 0) return 0.0;
@@ -250,23 +100,62 @@ double PreparedPairSimilarity(const NameMatcher& matcher,
 
 }  // namespace
 
+NgramProfile NameMatcher::WordProfile(const std::string& word) const {
+  NgramProfile profile;
+  if (options_.exhaustive_ngrams) {
+    profile = BuildNgramProfile(word, 1, word.size());
+  } else {
+    profile = BuildNgramProfile(word, options_.min_n, options_.max_n);
+    // Always include the whole word so exact matches of short words score.
+    ++profile[word];
+  }
+  return profile;
+}
+
+double NameMatcher::PreparedWordSimilarity(const TermFeature& a,
+                                           const TermFeature& b) const {
+  double dice = PackedDice(a.profile, b.profile);
+  const std::string& shorter = a.text.size() <= b.text.size() ? a.text : b.text;
+  const std::string& longer = a.text.size() <= b.text.size() ? b.text : a.text;
+  if (shorter.size() >= 2 && shorter.size() < longer.size()) {
+    double coverage = static_cast<double>(shorter.size()) /
+                      static_cast<double>(longer.size());
+    if (longer.compare(0, shorter.size(), shorter) == 0) {
+      // Prefix abbreviations ("pat" for "patient", "obs" for
+      // "observation") share few long grams, so pure Dice under-scores
+      // exactly the case the paper highlights.
+      dice = std::max(dice, 0.55 + 0.45 * coverage);
+    } else if (IsAbbreviationSubsequence(shorter, longer)) {
+      // Consonant-skeleton abbreviations ("qty" for "quantity", "ht" for
+      // "height"): weaker evidence than a prefix, still far above random
+      // gram overlap.
+      dice = std::max(dice, 0.35 + 0.35 * coverage);
+    }
+  }
+  // Synonyms (gender↔sex) share no grams at all; only the lexicon can
+  // recover them.
+  if (options_.use_synonyms && dice < 0.85 && AreSynonyms(a.text, b.text)) {
+    dice = 0.85;
+  }
+  return dice;
+}
+
 SimilarityMatrix NameMatcher::MatchPrepared(const Schema& query,
                                             const Schema& candidate,
                                             const MatchContext& context) const {
-  const SchemaFeatures* qf = context.query_features;
-  const SchemaFeatures* cf = context.candidate_features;
-  if (!context.complete() || qf->names.size() != query.size() ||
-      cf->names.size() != candidate.size() ||
-      !SameOptions(qf->name_options, options_) ||
-      !SameOptions(cf->name_options, options_)) {
+  const SchemaFeatures& qf = *context.query_features;
+  const SchemaFeatures& cf = *context.candidate_features;
+  if (qf.names.size() != query.size() || cf.names.size() != candidate.size() ||
+      !SameOptions(qf.name_options, options_) ||
+      !SameOptions(cf.name_options, options_)) {
     return Match(query, candidate);
   }
   context.scratch->Bind(context);
   SimilarityMatrix matrix(query.size(), candidate.size());
   for (size_t r = 0; r < query.size(); ++r) {
     for (size_t c = 0; c < candidate.size(); ++c) {
-      matrix.set(r, c, PreparedPairSimilarity(*this, context, qf->names[r],
-                                              cf->names[c]));
+      matrix.set(r, c, PreparedPairSimilarity(*this, context, qf.names[r],
+                                      cf.names[c]));
     }
   }
   return matrix;
@@ -274,21 +163,18 @@ SimilarityMatrix NameMatcher::MatchPrepared(const Schema& query,
 
 SimilarityMatrix NameMatcher::Match(const Schema& query,
                                     const Schema& candidate) const {
-  SimilarityMatrix matrix(query.size(), candidate.size());
-  std::vector<PreparedName> qs(query.size());
-  std::vector<PreparedName> cs(candidate.size());
-  for (ElementId id = 0; id < query.size(); ++id) {
-    qs[id] = Prepare(query.element(id).name);
-  }
-  for (ElementId id = 0; id < candidate.size(); ++id) {
-    cs[id] = Prepare(candidate.element(id).name);
-  }
-  for (size_t r = 0; r < qs.size(); ++r) {
-    for (size_t c = 0; c < cs.size(); ++c) {
-      matrix.set(r, c, PairSimilarity(qs[r], cs[c]));
-    }
-  }
-  return matrix;
+  FeatureBuildOptions options;
+  options.name = options_;
+  return MatchStandalone(*this, query, candidate, options);
+}
+
+double NameMatcher::NameSimilarity(const std::string& a,
+                                   const std::string& b) const {
+  Schema left;
+  left.AddEntity(a);
+  Schema right;
+  right.AddEntity(b);
+  return Match(left, right).at(0, 0);
 }
 
 }  // namespace schemr

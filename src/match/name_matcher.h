@@ -14,17 +14,22 @@
 // grams; the banded profile (default 2..4 plus the whole token) is the
 // cheaper production variant. Word-level maximum alignment handles
 // multi-word names.
+//
+// Scoring runs on columnar SchemaFeatures (match/features.h): normalized
+// words and packed profiles are built once per schema, and word-pair
+// similarities come from the per-query memo (MatchScratch).
 
 #ifndef SCHEMR_MATCH_NAME_MATCHER_H_
 #define SCHEMR_MATCH_NAME_MATCHER_H_
 
 #include <string>
-#include <vector>
 
 #include "match/matcher.h"
 #include "text/ngram.h"
 
 namespace schemr {
+
+struct TermFeature;  // match/features.h
 
 struct NameMatcherOptions {
   /// Use n = 1..len(word) profiles exactly as described in the paper.
@@ -47,76 +52,38 @@ class NameMatcher : public Matcher {
 
   std::string Name() const override { return "name"; }
 
+  /// Builds standalone features for both schemas under this matcher's
+  /// options and scores them with MatchPrepared.
   SimilarityMatrix Match(const Schema& query,
                          const Schema& candidate) const override;
 
-  /// Columnar fast path: scores from precomputed SchemaFeatures through
-  /// the per-query term-pair memo. Bit-identical to Match() — the packed
-  /// Dice reproduces the NgramProfile counts exactly and the word
-  /// alignment sums run in the same order. Falls back to Match() when the
-  /// context is incomplete or was built under different options.
+  /// Scores precomputed SchemaFeatures through the per-query term-pair
+  /// memo: per element pair, word-level soft alignment, concatenation
+  /// rescue ("dateofbirth" vs "date_of_birth") and acronym detection
+  /// ("dob"). Features built under other options, or for other schemas,
+  /// are never used: Match() builds them under this matcher's options.
   SimilarityMatrix MatchPrepared(const Schema& query, const Schema& candidate,
                                  const MatchContext& context) const override;
 
-  /// Similarity of two raw element names in [0, 1] (exposed for the
-  /// context matcher's soft term alignment and for tests).
+  /// Similarity of two raw element names in [0, 1]: the Match() value of
+  /// two one-element schemas (exposed for tests and benches).
   double NameSimilarity(const std::string& a, const std::string& b) const;
 
-  /// WordSimilarity on packed term features: packed Dice lifted by the
-  /// same prefix/subsequence/synonym bonuses. Equals
-  /// NormalizedWordSimilarity on the profiles the features were packed
-  /// from. Exposed for the term-pair memo both fast paths share
-  /// (MatchScratch).
-  double PreparedWordSimilarity(const struct TermFeature& a,
-                                const struct TermFeature& b) const;
+  /// Single-word similarity on packed term features: n-gram Dice lifted
+  /// by prefix-abbreviation ("pat" vs "patient"), subsequence-abbreviation
+  /// ("qty" vs "quantity") and synonym bonuses. Exposed for the term-pair
+  /// memo the name and context matchers share (MatchScratch).
+  double PreparedWordSimilarity(const TermFeature& a,
+                                const TermFeature& b) const;
 
   const NameMatcherOptions& options() const { return options_; }
 
   /// N-gram profile of one already-normalized word, honoring this
-  /// matcher's banding options. Exposed so callers comparing many word
-  /// pairs (the context matcher) can cache profiles.
+  /// matcher's banding options: the source of every TermDictionary
+  /// profile.
   NgramProfile WordProfile(const std::string& word) const;
 
-  /// Single-word similarity on precomputed profiles: n-gram Dice lifted
-  /// by prefix/subsequence abbreviation bonuses. Words must already be
-  /// normalized (lowercase, stemmed).
-  double NormalizedWordSimilarity(const std::string& a,
-                                  const NgramProfile& pa,
-                                  const std::string& b,
-                                  const NgramProfile& pb) const;
-
  private:
-  /// Per-name precomputation shared by NameSimilarity and Match.
-  struct PreparedName {
-    std::vector<std::string> words;
-    std::vector<NgramProfile> word_profiles;
-    std::string concat;
-    NgramProfile concat_profile;
-    std::string initials;
-  };
-
-  /// Normalized word list of an element name.
-  std::vector<std::string> NormalizeName(const std::string& name) const;
-
-  NgramProfile ProfileOf(const std::string& word) const;
-
-  PreparedName Prepare(const std::string& name) const;
-
-  /// Single-word similarity: n-gram Dice, lifted by prefix-abbreviation
-  /// ("pat" vs "patient") and subsequence-abbreviation ("qty" vs
-  /// "quantity") bonuses scaled by the length ratio.
-  double WordSimilarity(const std::string& a, const NgramProfile& pa,
-                        const std::string& b, const NgramProfile& pb) const;
-
-  /// The post-Dice half of WordSimilarity (prefix / subsequence / synonym
-  /// lifts), shared with the packed fast path so the two can never drift.
-  double LiftDice(double dice, const std::string& a,
-                  const std::string& b) const;
-
-  /// Full name-vs-name similarity on prepared forms: word alignment,
-  /// concatenation rescue, acronym detection ("dob" vs "date_of_birth").
-  double PairSimilarity(const PreparedName& a, const PreparedName& b) const;
-
   NameMatcherOptions options_;
 };
 

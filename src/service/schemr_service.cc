@@ -416,12 +416,17 @@ Result<SchemaGraphView> SchemrService::BuildView(
   // Validation first: malformed requests are refused before any
   // repository access or layout work.
   SCHEMR_RETURN_IF_ERROR(ValidateRequest(request));
-  // Corpus mode resolves the schema through the current snapshot so the
-  // drill-in is point-in-time consistent, like Search.
-  SCHEMR_ASSIGN_OR_RETURN(
-      Schema schema, corpus_ != nullptr
-                         ? corpus_->Snapshot()->schemas->Get(request.schema_id)
-                         : repository_->Get(request.schema_id));
+  // The schema resolves through the engine's snapshot, so the drill-in is
+  // point-in-time consistent, like Search.
+  SCHEMR_ASSIGN_OR_RETURN(std::shared_ptr<const CorpusSnapshot> snapshot,
+                          engine_.Snapshot());
+  SCHEMR_ASSIGN_OR_RETURN(Schema schema,
+                          snapshot->schemas->Get(request.schema_id));
+  return BuildVisualization(schema, request);
+}
+
+Result<SchemaGraphView> BuildVisualization(
+    const Schema& schema, const VisualizationRequest& request) {
   GraphViewOptions options;
   options.max_depth = request.max_depth;
   options.root = request.root;
@@ -471,8 +476,8 @@ Result<std::string> SchemrService::GetSchemaSvg(
 Status SchemrService::StartServing(ServingOptions options) {
   if (corpus_ == nullptr) {
     return Status::InvalidArgument(
-        "StartServing requires corpus mode: snapshot isolation is what "
-        "makes concurrent serving safe");
+        "StartServing requires a live corpus: a server ingests while it "
+        "searches");
   }
   std::lock_guard<std::mutex> lock(serving_mutex_);
   if (shut_down_) {
@@ -1060,38 +1065,34 @@ std::string SchemrService::StatuszJson() const {
 #endif
   out.push_back('}');
 
+  // The snapshot the engine searches; an engine that refuses every
+  // search (an unreadable pinned view) reports zeros.
+  double snapshot_version = 0.0;
+  double index_docs = 0.0;
+  double index_terms = 0.0;
+  double catalog_schemas = 0.0;
+  double dictionary_terms = 0.0;
+  if (auto snapshot = engine_.Snapshot(); snapshot.ok()) {
+    const CorpusSnapshot& current = **snapshot;
+    snapshot_version = static_cast<double>(current.version);
+    index_docs = static_cast<double>(current.index->NumDocs());
+    index_terms = static_cast<double>(current.index->NumTerms());
+    catalog_schemas = static_cast<double>(current.match_features->size());
+    dictionary_terms =
+        static_cast<double>(current.match_features->terms().size());
+  }
+
   JsonKey(&out, "corpus");
   out.push_back('{');
-  if (corpus_ != nullptr) {
-    std::shared_ptr<const CorpusSnapshot> snapshot = corpus_->Snapshot();
-    JsonNum(&out, "snapshot_version",
-            static_cast<double>(snapshot->version));
-    JsonNum(&out, "index_docs",
-            static_cast<double>(snapshot->index->NumDocs()));
-    JsonNum(&out, "index_terms",
-            static_cast<double>(snapshot->index->NumTerms()));
-  } else {
-    JsonNum(&out, "snapshot_version", 0.0);
-    JsonNum(&out, "index_docs", 0.0);
-    JsonNum(&out, "index_terms", 0.0);
-  }
+  JsonNum(&out, "snapshot_version", snapshot_version);
+  JsonNum(&out, "index_docs", index_docs);
+  JsonNum(&out, "index_terms", index_terms);
   out.push_back('}');
 
   JsonKey(&out, "signatures");
   out.push_back('{');
   {
     MetricsRegistry& registry = MetricsRegistry::Global();
-    double catalog_schemas = 0.0;
-    double dictionary_terms = 0.0;
-    if (corpus_ != nullptr) {
-      std::shared_ptr<const CorpusSnapshot> snapshot = corpus_->Snapshot();
-      if (snapshot->match_features != nullptr) {
-        catalog_schemas =
-            static_cast<double>(snapshot->match_features->size());
-        dictionary_terms =
-            static_cast<double>(snapshot->match_features->terms().size());
-      }
-    }
     JsonNum(&out, "catalog_schemas", catalog_schemas);
     JsonNum(&out, "dictionary_terms", dictionary_terms);
     JsonNum(&out, "pair_memo_lookups_total",

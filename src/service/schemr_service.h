@@ -150,41 +150,42 @@ struct VisualizationRequest {
   std::vector<MatchedElement> scores;
 };
 
+/// Lays out `schema` as the visualization `request` asks for: the
+/// drill-in graph view with match-score colors and codebook annotations,
+/// under the tree or radial layout. InvalidArgument for an unknown
+/// layout. The service's GraphML/SVG endpoints and `schemr viz` both
+/// render through this.
+Result<SchemaGraphView> BuildVisualization(
+    const Schema& schema, const VisualizationRequest& request);
+
 class SchemrService {
  public:
-  /// Static mode: serves a fixed repository/index pair. Safe for
-  /// concurrent requests only while neither is mutated (see
-  /// SearchEngine's thread-safety contract).
+  /// Convenience: serves PinSnapshot(*repository, index), like the
+  /// engine's (repository, index) constructor. Both must outlive the
+  /// service, and `*index` must not change while requests run.
   SchemrService(const SchemaRepository* repository,
                 const InvertedIndex* index,
                 MatcherEnsemble ensemble = MatcherEnsemble::Default(),
                 ServiceLimits limits = {})
-      : repository_(repository),
-        engine_(repository, index, std::move(ensemble)),
-        limits_(limits) {}
+      : engine_(repository, index, std::move(ensemble)), limits_(limits) {}
 
-  /// Corpus mode: every request runs against one CorpusSnapshot, so
+  /// Every request runs against the corpus's current snapshot, so
   /// concurrent searches are safe while the corpus ingests. Required for
   /// StartServing.
   explicit SchemrService(const ServingCorpus* corpus,
                          MatcherEnsemble ensemble = MatcherEnsemble::Default(),
                          ServiceLimits limits = {})
       : corpus_(corpus),
-        repository_(corpus->repository()),
         engine_(corpus, std::move(ensemble)),
         limits_(limits) {}
 
-  /// Pinned-snapshot mode: every request runs against exactly this
-  /// snapshot. For CLI tools that assemble a snapshot by hand (index
-  /// segment + repository view + persisted signature catalog) without a
-  /// live corpus. `repository` serves annotation and visualization
-  /// traffic and must outlive the service.
+  /// Every request runs against exactly this snapshot (see PinSnapshot).
+  /// `repository` answers annotation reads and must outlive the service.
   SchemrService(const SchemaRepository* repository,
                 std::shared_ptr<const CorpusSnapshot> snapshot,
                 MatcherEnsemble ensemble = MatcherEnsemble::Default(),
                 ServiceLimits limits = {})
-      : repository_(repository),
-        engine_(std::move(snapshot), std::move(ensemble)),
+      : engine_(std::move(snapshot), std::move(ensemble), repository),
         limits_(limits) {}
 
   ~SchemrService();
@@ -192,9 +193,9 @@ class SchemrService {
   // --- Concurrent serving (DESIGN.md §9) ---------------------------------
 
   /// Brings up the bounded worker pool and admission control behind
-  /// HandleSearchXml. InvalidArgument in static mode (snapshot isolation
-  /// is what makes concurrent serving safe); FailedPrecondition if
-  /// already serving or already shut down.
+  /// HandleSearchXml. InvalidArgument without a live corpus (serving is
+  /// for one that ingests); FailedPrecondition if already serving or
+  /// already shut down.
   Status StartServing(ServingOptions options = {});
 
   /// The admission-controlled search endpoint. Always returns well-formed
@@ -388,8 +389,7 @@ class SchemrService {
   void RecordRefusal(const SearchRequest& request, AuditOutcome outcome,
                      double deadline_seconds) const;
 
-  const ServingCorpus* corpus_ = nullptr;  ///< null in static mode
-  const SchemaRepository* repository_;
+  const ServingCorpus* corpus_ = nullptr;  ///< null without a live corpus
   SearchEngine engine_;
   ServiceLimits limits_;
 

@@ -408,6 +408,31 @@ TEST(SearchEngineTest, TopKBoundsResults) {
   EXPECT_EQ(results->size(), 1u);
 }
 
+TEST(SearchEngineTest, RepositoryIndexEngineCaches) {
+  // The (repository, index) constructor pins a versioned snapshot, so its
+  // engine caches like any other: the second identical search is a hit
+  // with the same answer.
+  EngineFixture f = MakeEngineFixture();
+  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  engine.EnableResultCache(4);
+  SearchStats first_stats;
+  SearchEngineOptions options;
+  options.stats = &first_stats;
+  auto first = engine.SearchKeywords("patient height gender", options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(first_stats.cache_hit);
+  SearchStats second_stats;
+  options.stats = &second_stats;
+  auto second = engine.SearchKeywords("patient height gender", options);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second_stats.cache_hit);
+  ASSERT_EQ(first->size(), second->size());
+  for (size_t i = 0; i < first->size(); ++i) {
+    EXPECT_EQ((*first)[i].schema_id, (*second)[i].schema_id);
+    EXPECT_EQ((*first)[i].score, (*second)[i].score);
+  }
+}
+
 TEST(SearchEngineTest, EmptyQueryRejected) {
   EngineFixture f = MakeEngineFixture();
   SearchEngine engine(f.repo.get(), &f.indexer->index());

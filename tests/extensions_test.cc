@@ -8,6 +8,7 @@
 
 #include "core/composer.h"
 #include "core/search_engine.h"
+#include "core/serving_corpus.h"
 #include "index/indexer.h"
 #include "match/ensemble.h"
 #include "match/mapping.h"
@@ -15,6 +16,7 @@
 #include "parse/xsd_writer.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
+#include "service/schemr_service.h"
 
 namespace schemr {
 namespace {
@@ -210,6 +212,44 @@ TEST(AnnotationsTest, BoostLiftsEndorsedSchemas) {
   auto plain_results = engine.SearchKeywords("patient height gender");
   ASSERT_TRUE(plain_results.ok());
   EXPECT_EQ((*plain_results)[0].schema_id, plain);
+
+  // The same through a pinned service, as `schemr search --boost` runs
+  // it: the service's repository answers the annotation reads.
+  auto snapshot = PinSnapshot(*repo, std::shared_ptr<const InvertedIndex>(
+                                         std::shared_ptr<void>(),
+                                         &indexer.index()));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  SchemrService pinned(repo.get(), *snapshot);
+  SearchRequest request;
+  request.keywords = "patient height gender";
+  auto served = pinned.Search(request, boosted);
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_EQ(served->size(), 2u);
+  EXPECT_EQ((*served)[0].schema_id, endorsed);
+  EXPECT_EQ((*served)[0].score, (*results)[0].score);
+}
+
+TEST(AnnotationsTest, BoostWithoutAnnotationRepositoryIsInvalidArgument) {
+  auto repo = SchemaRepository::OpenInMemory();
+  ASSERT_TRUE(repo->Insert(SchemaBuilder("patient_data")
+                               .Entity("patient")
+                               .Attribute("height")
+                               .Build())
+                  .ok());
+  Indexer indexer;
+  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
+  auto snapshot = PinSnapshot(*repo, std::shared_ptr<const InvertedIndex>(
+                                         std::shared_ptr<void>(),
+                                         &indexer.index()));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  const SearchEngine engine(*snapshot);  // no annotation repository
+
+  SearchEngineOptions boosted;
+  boosted.annotation_boost = 0.5;
+  auto refused = engine.SearchKeywords("patient height", boosted);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(engine.SearchKeywords("patient height").ok());
 }
 
 // --- composer --------------------------------------------------------------------------

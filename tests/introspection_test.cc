@@ -226,6 +226,29 @@ class IntrospectionServiceTest : public ::testing::Test {
   fs::path audit_dir_;
 };
 
+TEST_F(IntrospectionServiceTest, PinnedStatuszReportsItsSnapshot) {
+  // A pinned service (the kind the CLI builds) reports the snapshot it
+  // searches -- its version, index size and catalog size -- and keeps
+  // reporting it after the corpus it came from moves on.
+  auto corpus_or = MakeCorpus(5);
+  ASSERT_TRUE(corpus_or.ok());
+  const std::shared_ptr<const CorpusSnapshot> snapshot =
+      (*corpus_or)->Snapshot();
+  ASSERT_GT(snapshot->version, 0u);
+  SchemrService service((*corpus_or)->repository(), snapshot);
+  ASSERT_TRUE((*corpus_or)->Ingest(ClinicSchema("late")).ok());
+
+  auto fields = ParseBenchJson(service.StatuszJson());
+  ASSERT_TRUE(fields.ok()) << fields.status();
+  EXPECT_EQ(fields->at("corpus.snapshot_version"),
+            static_cast<double>(snapshot->version));
+  EXPECT_EQ(fields->at("corpus.index_docs"), 5.0);
+  EXPECT_GT(fields->at("corpus.index_terms"), 0.0);
+  EXPECT_EQ(fields->at("signatures.catalog_schemas"), 5.0);
+  EXPECT_EQ(fields->at("signatures.dictionary_terms"),
+            static_cast<double>(snapshot->match_features->terms().size()));
+}
+
 TEST_F(IntrospectionServiceTest, FiveEndpointsServeLiveData) {
   auto corpus_or = MakeCorpus(8);
   ASSERT_TRUE(corpus_or.ok());

@@ -11,6 +11,7 @@
 #include <filesystem>
 
 #include "core/fingerprint.h"
+#include "core/serving_corpus.h"
 #include "corpus/schema_generator.h"
 #include "index/indexer.h"
 #include "obs/audit_log.h"
@@ -112,17 +113,17 @@ class ReplayTest : public ::testing::Test {
                                  .Build())
                     .ok());
     ASSERT_TRUE(indexer_.RebuildFromRepository(*repo_).ok());
-    snapshot_ = std::make_shared<CorpusSnapshot>();
-    // Non-owning aliases: repo_/indexer_ outlive the snapshot here.
-    snapshot_->index = std::shared_ptr<const InvertedIndex>(
-        std::shared_ptr<void>(), &indexer_.index());
-    snapshot_->schemas = repo_->View();
-    snapshot_->version = repo_->version();
+    // Non-owning alias: indexer_ outlives the snapshot here.
+    auto pinned = PinSnapshot(*repo_, std::shared_ptr<const InvertedIndex>(
+                                          std::shared_ptr<void>(),
+                                          &indexer_.index()));
+    ASSERT_TRUE(pinned.ok()) << pinned.status();
+    snapshot_ = *std::move(pinned);
   }
 
   std::unique_ptr<SchemaRepository> repo_;
   Indexer indexer_;
-  std::shared_ptr<CorpusSnapshot> snapshot_;
+  std::shared_ptr<const CorpusSnapshot> snapshot_;
 };
 
 TEST_F(ReplayTest, TwoRunsProduceIdenticalDigests) {
@@ -218,11 +219,11 @@ TEST_F(ReplayTest, CommittedSampleWorkloadIsThreadCountIndependent) {
   }
   Indexer indexer;
   ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  auto snapshot = std::make_shared<CorpusSnapshot>();
-  snapshot->index = std::shared_ptr<const InvertedIndex>(
-      std::shared_ptr<void>(), &indexer.index());
-  snapshot->schemas = repo->View();
-  snapshot->version = repo->version();
+  auto pinned = PinSnapshot(*repo, std::shared_ptr<const InvertedIndex>(
+                                       std::shared_ptr<void>(),
+                                       &indexer.index()));
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  const std::shared_ptr<const CorpusSnapshot> snapshot = *std::move(pinned);
 
   auto serial = ReplayWorkload(snapshot, *workload);
   ASSERT_TRUE(serial.ok()) << serial.status();

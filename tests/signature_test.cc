@@ -1,9 +1,10 @@
 // Tests for the signature pre-filter and columnar match features
-// (DESIGN.md §16): packed-profile bit-identity with the legacy n-gram
-// path, prepared-matcher bit-identity with the per-candidate path, the
-// engine's exact-mode equivalence at any thread count, the approximate
-// pre-filter's accounting, signature persistence (round-trip, corruption
-// detection, rebuild), and the serving corpus's catalog publication.
+// (DESIGN.md §16): packed-profile bit-identity with NgramProfile Dice,
+// the matcher kernel's bit-identity with the reference matchers
+// (reference_matchers.h) under every option, the engine's exact-mode
+// equivalence at any thread count, the approximate pre-filter's
+// accounting, signature persistence (round-trip, corruption detection,
+// rebuild), and the serving corpus's catalog publication.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fingerprint.h"
 #include "core/query_parser.h"
 #include "core/result_cache.h"
 #include "core/search_engine.h"
@@ -26,6 +28,7 @@
 #include "match/signature.h"
 #include "obs/replay.h"
 #include "parse/ddl_writer.h"
+#include "reference_matchers.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 #include "text/ngram.h"
@@ -180,32 +183,33 @@ TEST(SignatureTest, SealedCrcDetectsBitFlip) {
 
 // --- prepared matchers ------------------------------------------------------------
 
+/// Asserts every cell of `actual` equals `expected`, to the bit.
+void ExpectMatrixIdentical(const SimilarityMatrix& expected,
+                           const SimilarityMatrix& actual,
+                           const std::string& where) {
+  ASSERT_EQ(expected.rows(), actual.rows()) << where;
+  ASSERT_EQ(expected.cols(), actual.cols()) << where;
+  for (size_t i = 0; i < expected.rows(); ++i) {
+    for (size_t j = 0; j < expected.cols(); ++j) {
+      ASSERT_EQ(expected.at(i, j), actual.at(i, j))
+          << where << " cell (" << i << "," << j << ")";
+    }
+  }
+}
+
 /// Asserts every per-matcher and combined cell of `prepared` equals the
-/// legacy computation of the same pair, to the bit: the fast path must be
+/// reference computation of the same pair, to the bit: the kernel must be
 /// an optimization, never a behavior change.
-void ExpectCellsIdentical(const EnsembleResult& legacy,
+void ExpectCellsIdentical(const EnsembleResult& reference,
                           const EnsembleResult& prepared,
                           const std::string& where) {
-  ASSERT_EQ(legacy.per_matcher.size(), prepared.per_matcher.size());
-  for (size_t m = 0; m < legacy.per_matcher.size(); ++m) {
-    const SimilarityMatrix& lm = legacy.per_matcher[m];
-    const SimilarityMatrix& pm = prepared.per_matcher[m];
-    ASSERT_EQ(lm.rows(), pm.rows());
-    ASSERT_EQ(lm.cols(), pm.cols());
-    for (size_t i = 0; i < lm.rows(); ++i) {
-      for (size_t j = 0; j < lm.cols(); ++j) {
-        ASSERT_EQ(lm.at(i, j), pm.at(i, j))
-            << where << " matcher " << m << " cell (" << i << "," << j
-            << ")";
-      }
-    }
+  ASSERT_EQ(reference.per_matcher.size(), prepared.per_matcher.size());
+  for (size_t m = 0; m < reference.per_matcher.size(); ++m) {
+    ExpectMatrixIdentical(reference.per_matcher[m], prepared.per_matcher[m],
+                          where + " matcher " + std::to_string(m));
   }
-  for (size_t i = 0; i < legacy.combined.rows(); ++i) {
-    for (size_t j = 0; j < legacy.combined.cols(); ++j) {
-      ASSERT_EQ(legacy.combined.at(i, j), prepared.combined.at(i, j))
-          << where;
-    }
-  }
+  ExpectMatrixIdentical(reference.combined, prepared.combined,
+                        where + " combined");
 }
 
 /// A context over `query` and `candidate` with their own dictionaries.
@@ -241,11 +245,12 @@ TEST(PreparedMatchTest, EnsembleBitIdenticalWithAndWithoutContext) {
   auto query_features = BuildSchemaFeatures(schemas[0], catalog->options());
   ComputeSignature(query_features.get(), &catalog->df());
 
+  const MatcherEnsemble reference = ReferenceEnsemble();
   MatcherEnsemble ensemble = MatcherEnsemble::Default();
   MatchScratch scratch;
   const Schema& query = schemas[0];
   for (size_t c = 1; c < schemas.size(); ++c) {
-    EnsembleResult legacy = ensemble.Match(query, schemas[c]);
+    EnsembleResult expected = reference.Match(query, schemas[c]);
     MatchContext context;
     context.query_features = query_features.get();
     context.query_terms = query_features->dictionary.get();
@@ -254,17 +259,95 @@ TEST(PreparedMatchTest, EnsembleBitIdenticalWithAndWithoutContext) {
     context.scratch = &scratch;
     EnsembleResult prepared =
         ensemble.Match(query, schemas[c], nullptr, nullptr, &context);
-    ExpectCellsIdentical(legacy, prepared, "candidate " + std::to_string(c));
+    ExpectCellsIdentical(expected, prepared, "candidate " + std::to_string(c));
   }
   // Later candidates reused pairs the earlier ones filled.
   EXPECT_LT(scratch.fills(), scratch.lookups());
+}
+
+TEST(PreparedMatchTest, EnsembleWithoutContextMatchesReference) {
+  // The composer and search-history training call the ensemble with no
+  // context: each matcher builds features for the pair itself.
+  std::vector<Schema> schemas = SmallCorpus(10, /*seed=*/53);
+  const MatcherEnsemble reference = ReferenceEnsemble();
+  const MatcherEnsemble ensemble = MatcherEnsemble::Default();
+  ASSERT_EQ(reference.MatcherNames(), ensemble.MatcherNames());
+  ASSERT_EQ(reference.weights(), ensemble.weights());
+  for (size_t q : {size_t{0}, size_t{3}}) {
+    for (size_t c = 0; c < schemas.size(); ++c) {
+      ExpectCellsIdentical(reference.Match(schemas[q], schemas[c]),
+                           ensemble.Match(schemas[q], schemas[c]),
+                           "query " + std::to_string(q) + " candidate " +
+                               std::to_string(c));
+    }
+  }
+}
+
+TEST(PreparedMatchTest, NameKernelMatchesReferenceUnderEveryOption) {
+  // Non-default name options reach the kernel through Match() (features
+  // built under the matcher's own options) and through a context whose
+  // features were built under them: the paper's exhaustive n-grams,
+  // stemming off, synonyms off, and a 3-5 band.
+  std::vector<NameMatcherOptions> variants(4);
+  variants[0].exhaustive_ngrams = true;
+  variants[1].stem = false;
+  variants[2].use_synonyms = false;
+  variants[3].min_n = 3;
+  variants[3].max_n = 5;
+  std::vector<Schema> schemas = SmallCorpus(10, /*seed=*/61);
+  schemas.push_back(Clinic());
+  schemas.push_back(SchemaBuilder("abbreviated")
+                        .Entity("pat")
+                        .Attribute("ht")
+                        .Attribute("sex")
+                        .Attribute("dob")
+                        .Attribute("qty")
+                        .Build());
+  for (size_t v = 0; v < variants.size(); ++v) {
+    const NameMatcher matcher(variants[v]);
+    const ReferenceNameMatcher reference(variants[v]);
+    FeatureBuildOptions options;
+    options.name = variants[v];
+    std::vector<std::shared_ptr<SchemaFeatures>> features;
+    for (const Schema& s : schemas) {
+      features.push_back(BuildSchemaFeatures(s, options));
+    }
+    MatchScratch scratch;  // one memo across every candidate of a query
+    for (size_t q : {schemas.size() - 1, size_t{0}}) {
+      for (size_t c = 0; c < schemas.size(); ++c) {
+        const std::string where = "variant " + std::to_string(v) +
+                                  " query " + std::to_string(q) +
+                                  " candidate " + std::to_string(c);
+        const SimilarityMatrix expected =
+            reference.Match(schemas[q], schemas[c]);
+        ExpectMatrixIdentical(expected, matcher.Match(schemas[q], schemas[c]),
+                              where + " (Match)");
+        ExpectMatrixIdentical(
+            expected,
+            matcher.MatchPrepared(
+                schemas[q], schemas[c],
+                StandaloneContext(*features[q], *features[c], &scratch)),
+            where + " (context)");
+      }
+    }
+    for (const auto& [a, b] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"patient", "pat"},
+             {"date_of_birth", "dob"},
+             {"gender", "sex"},
+             {"quantity", "qty"},
+             {"", "patient"}}) {
+      EXPECT_EQ(matcher.NameSimilarity(a, b), reference.NameSimilarity(a, b))
+          << "variant " << v << ": " << a << " vs " << b;
+    }
+  }
 }
 
 TEST(PreparedMatchTest, ScratchReuseAcrossQueriesAndPrivateDictionaries) {
   // One scratch, two different queries, and candidates that each own a
   // private dictionary (so their term ids collide): the memo must start
   // over whenever the query or the candidate's id space changes, and
-  // every cell must still equal the legacy value.
+  // every cell must still equal the reference value.
   std::vector<Schema> schemas = SmallCorpus(8, /*seed=*/23);
   std::vector<std::shared_ptr<SchemaFeatures>> features;
   for (const Schema& s : schemas) {
@@ -273,17 +356,18 @@ TEST(PreparedMatchTest, ScratchReuseAcrossQueriesAndPrivateDictionaries) {
   std::vector<Schema> numbered = schemas;
   auto catalog = NumberedCatalog(&numbered);
 
+  const MatcherEnsemble reference = ReferenceEnsemble();
   MatcherEnsemble ensemble = MatcherEnsemble::Default();
   MatchScratch scratch;
   for (size_t q : {size_t{0}, size_t{1}, size_t{0}}) {
     for (size_t c = 0; c < schemas.size(); ++c) {
       const std::string where =
           "query " + std::to_string(q) + " candidate " + std::to_string(c);
-      EnsembleResult legacy = ensemble.Match(schemas[q], schemas[c]);
+      EnsembleResult expected = reference.Match(schemas[q], schemas[c]);
       MatchContext own = StandaloneContext(*features[q], *features[c],
                                            &scratch);
       ExpectCellsIdentical(
-          legacy,
+          expected,
           ensemble.Match(schemas[q], schemas[c], nullptr, nullptr, &own),
           where + " (private dictionary)");
       // The same candidate through the catalog dictionary, interleaved.
@@ -291,7 +375,7 @@ TEST(PreparedMatchTest, ScratchReuseAcrossQueriesAndPrivateDictionaries) {
       shared.candidate_features = catalog->Find(c + 1);
       shared.candidate_terms = &catalog->terms();
       ExpectCellsIdentical(
-          legacy,
+          expected,
           ensemble.Match(schemas[q], schemas[c], nullptr, nullptr, &shared),
           where + " (catalog dictionary)");
     }
@@ -301,7 +385,7 @@ TEST(PreparedMatchTest, ScratchReuseAcrossQueriesAndPrivateDictionaries) {
 TEST(PreparedMatchTest, ContextClassesBitIdenticalUnderEveryOption) {
   // Neighborhood classes are built per context option set: exact Jaccard
   // (merged by text across two dictionaries) and neighborhoods without
-  // FK neighbors must match the legacy matcher cell for cell too.
+  // FK neighbors must match the reference matcher cell for cell too.
   std::vector<Schema> schemas = SmallCorpus(10, /*seed=*/41);
   for (bool soft : {true, false}) {
     for (bool fk : {true, false}) {
@@ -309,23 +393,29 @@ TEST(PreparedMatchTest, ContextClassesBitIdenticalUnderEveryOption) {
       options.context.soft_alignment = soft;
       options.context.include_fk_neighbors = fk;
       const ContextMatcher matcher(options.context);
+      const ReferenceContextMatcher reference(options.context);
       std::vector<std::shared_ptr<SchemaFeatures>> features;
       for (const Schema& s : schemas) {
         features.push_back(BuildSchemaFeatures(s, options));
       }
       MatchScratch scratch;
       for (size_t c = 1; c < schemas.size(); ++c) {
+        const std::string where = "soft=" + std::to_string(soft) +
+                                  " fk=" + std::to_string(fk) +
+                                  " candidate " + std::to_string(c);
         MatchContext context =
             StandaloneContext(*features[0], *features[c], &scratch);
-        const SimilarityMatrix legacy = matcher.Match(schemas[0], schemas[c]);
-        const SimilarityMatrix prepared =
-            matcher.MatchPrepared(schemas[0], schemas[c], context);
-        for (size_t i = 0; i < legacy.rows(); ++i) {
-          for (size_t j = 0; j < legacy.cols(); ++j) {
-            ASSERT_EQ(legacy.at(i, j), prepared.at(i, j))
-                << "soft=" << soft << " fk=" << fk << " candidate " << c
-                << " cell (" << i << "," << j << ")";
-          }
+        const SimilarityMatrix expected =
+            reference.Match(schemas[0], schemas[c]);
+        ExpectMatrixIdentical(
+            expected, matcher.MatchPrepared(schemas[0], schemas[c], context),
+            where + " (context)");
+        ExpectMatrixIdentical(expected, matcher.Match(schemas[0], schemas[c]),
+                              where + " (Match)");
+        for (ElementId e = 0; e < schemas[c].size(); ++e) {
+          EXPECT_EQ(matcher.NeighborhoodTerms(schemas[c], e),
+                    reference.NeighborhoodTerms(schemas[c], e))
+              << where << " element " << e;
         }
       }
     }
@@ -333,9 +423,10 @@ TEST(PreparedMatchTest, ContextClassesBitIdenticalUnderEveryOption) {
 }
 
 TEST(PreparedMatchTest, MismatchedOptionsFallBackToLegacy) {
-  // A catalog built under non-default matcher options must not be used by
-  // default-option matchers; the guard forces the legacy path, so results
-  // still match the legacy computation exactly.
+  // Features built under non-default matcher options must not be scored
+  // by default-option matchers; they build their own under their options
+  // instead, so results still match the reference exactly and the
+  // caller's memo is never touched.
   FeatureBuildOptions altered;
   altered.name.use_synonyms = false;
   auto qf = BuildSchemaFeatures(Clinic(), altered);
@@ -346,10 +437,10 @@ TEST(PreparedMatchTest, MismatchedOptionsFallBackToLegacy) {
   MatcherEnsemble ensemble = MatcherEnsemble::Default();  // default options
   MatchScratch scratch;
   MatchContext context = StandaloneContext(*qf, *cf, &scratch);
-  EnsembleResult legacy = ensemble.Match(Clinic(), Shop());
+  EnsembleResult expected = ReferenceEnsemble().Match(Clinic(), Shop());
   EnsembleResult guarded =
       ensemble.Match(Clinic(), Shop(), nullptr, nullptr, &context);
-  ExpectCellsIdentical(legacy, guarded, "altered options");
+  ExpectCellsIdentical(expected, guarded, "altered options");
   EXPECT_EQ(scratch.lookups(), 0u);
 }
 
@@ -463,25 +554,16 @@ struct EngineFixture {
 EngineFixture MakeEngineFixture(size_t n = 24) {
   EngineFixture f;
   f.repo = SchemaRepository::OpenInMemory();
-  CatalogBuilder builder;
   for (Schema& s : SmallCorpus(n)) {
     auto id = f.repo->Insert(std::move(s));
     EXPECT_TRUE(id.ok());
   }
   f.indexer = std::make_shared<Indexer>();
   EXPECT_TRUE(f.indexer->RebuildFromRepository(*f.repo).ok());
-  std::shared_ptr<const RepositoryView> view = f.repo->View();
-  EXPECT_TRUE(view->ForEach([&](const Schema& s) {
-                    builder.Add(s);
-                    return Status::OK();
-                  }).ok());
-  auto snapshot = std::make_shared<CorpusSnapshot>();
-  snapshot->version = f.repo->version();
-  snapshot->index =
-      std::shared_ptr<const InvertedIndex>(f.indexer, &f.indexer->index());
-  snapshot->schemas = view;
-  snapshot->match_features = builder.Build();
-  f.snapshot = snapshot;
+  auto snapshot = PinSnapshot(*f.repo, std::shared_ptr<const InvertedIndex>(
+                                           f.indexer, &f.indexer->index()));
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status();
+  f.snapshot = *std::move(snapshot);
   return f;
 }
 
@@ -523,8 +605,10 @@ void ExpectSameRanking(const std::vector<SearchResult>& a,
 }
 
 TEST(EnginePrefilterTest, CatalogPathBitIdenticalToLegacyAtAnyThreadCount) {
+  // The same snapshot scored by the reference matchers (which ignore the
+  // catalog) and by the kernel over the catalog.
   EngineFixture f = MakeEngineFixture(200);
-  SearchEngine legacy(f.repo.get(), &f.indexer->index());
+  SearchEngine reference(f.snapshot, ReferenceEnsemble());
   SearchEngine columnar(f.snapshot);
 
   std::vector<QueryGraph> queries;
@@ -543,7 +627,7 @@ TEST(EnginePrefilterTest, CatalogPathBitIdenticalToLegacyAtAnyThreadCount) {
         SearchEngineOptions options;
         options.scoring_threads = threads;
         options.enable_pruning = pruning;
-        auto a = legacy.Search(queries[q], options);
+        auto a = reference.Search(queries[q], options);
         auto b = columnar.Search(queries[q], options);
         ASSERT_TRUE(a.ok()) << a.status();
         ASSERT_TRUE(b.ok()) << b.status();
@@ -554,6 +638,47 @@ TEST(EnginePrefilterTest, CatalogPathBitIdenticalToLegacyAtAnyThreadCount) {
       }
     }
   }
+}
+
+TEST(EngineGoldenTest, AnswerDigestOfCorpusAndStaticEngines) {
+  // Every answer a corpus engine and a static (repository, index) engine
+  // give over one 200-schema corpus, folded into one digest and pinned:
+  // keyword and FK-fragment queries, pruning on and off, one and four
+  // scoring threads. DigestResults rounds scores to float, so one-ulp
+  // libm drift cannot move it; any change to an answer must fail here.
+  auto repo = SchemaRepository::OpenInMemory();
+  for (Schema& s : SmallCorpus(200)) {
+    ASSERT_TRUE(repo->Insert(std::move(s)).ok());
+  }
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  Indexer indexer;
+  ASSERT_TRUE(indexer.RebuildFromRepository(*(*corpus)->repository()).ok());
+  const SearchEngine served(corpus->get());
+  const SearchEngine standalone((*corpus)->repository(), &indexer.index());
+
+  std::vector<QueryGraph> queries;
+  for (const char* q : kQueries) queries.push_back(*ParseQuery(q));
+  for (const std::string& fragment : FkFragments(4)) {
+    queries.push_back(*ParseQuery("", fragment));
+  }
+  ASSERT_EQ(queries.size(), 9u);
+  uint64_t digest = 0;
+  for (const SearchEngine* engine : {&served, &standalone}) {
+    for (const QueryGraph& query : queries) {
+      for (bool pruning : {true, false}) {
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          SearchEngineOptions options;
+          options.enable_pruning = pruning;
+          options.scoring_threads = threads;
+          auto results = engine->Search(query, options);
+          ASSERT_TRUE(results.ok()) << results.status();
+          digest = MixHash64(digest ^ DigestResults(*results));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xe335288367d86f45ull);
 }
 
 TEST(EnginePrefilterTest, IncrementalCorpusAnswersEqualFreshCreate) {
@@ -677,6 +802,35 @@ TEST(EnginePrefilterTest, MissingCatalogEntryIsNeverRejected) {
   bool present = false;
   for (const SearchResult& r : *results) present |= r.schema_id == dropped;
   EXPECT_TRUE(present);
+
+  // Exact search scores it on features built on the spot, through the
+  // same kernel: the answers equal the full catalog's.
+  for (const char* q : kQueries) {
+    auto with_entry = SearchEngine(f.snapshot).SearchKeywords(q);
+    auto without_entry = engine.SearchKeywords(q);
+    ASSERT_TRUE(with_entry.ok() && without_entry.ok());
+    ExpectSameRanking(*with_entry, *without_entry, q);
+  }
+  auto own = engine.SearchKeywords(schema->name());
+  ASSERT_TRUE(own.ok());
+  ExpectSameRanking(*SearchEngine(f.snapshot).SearchKeywords(schema->name()),
+                    *own, schema->name());
+}
+
+TEST(EnginePrefilterTest, SnapshotWithoutCatalogIsRefused) {
+  // A pinned snapshot must be complete: one without a catalog is never
+  // scored another way, and every search says why.
+  EngineFixture f = MakeEngineFixture(4);
+  auto incomplete = std::make_shared<CorpusSnapshot>(*f.snapshot);
+  incomplete->match_features = nullptr;
+  const SearchEngine engine(incomplete);
+  auto results = engine.SearchKeywords(kQueries[0]);
+  ASSERT_FALSE(results.ok());
+  EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.Snapshot().ok());
+  EXPECT_FALSE(SearchEngine(std::shared_ptr<const CorpusSnapshot>())
+                   .SearchKeywords(kQueries[0])
+                   .ok());
 }
 
 TEST(EnginePrefilterTest, PrefilterJoinsOptionsHash) {

@@ -61,6 +61,8 @@
 #include "util/string_util.h"
 #include "util/timer.h"
 #include "viz/dot_writer.h"
+#include "viz/graphml_writer.h"
+#include "viz/svg_writer.h"
 
 namespace schemr {
 namespace {
@@ -138,22 +140,21 @@ std::string SignaturePath(const std::string& repo_dir) {
   return repo_dir + "/signatures.sig";
 }
 
-/// Builds the match-feature catalog over the repository's current view,
-/// adopting signatures persisted at SignaturePath() when they still match
-/// this corpus, and writing back whatever had to be (re)built so the next
-/// invocation loads instead of computing. The catalog is advisory — any
-/// failure here just means searches take the legacy per-candidate path —
-/// so errors surface through `stats`, not a Status.
-std::shared_ptr<const MatchFeatureCatalog> LoadOrBuildCatalog(
+/// Pins the snapshot every CLI search and replay runs against: this
+/// index, the repository's current view and a match-feature catalog over
+/// it. The catalog adopts signatures persisted at SignaturePath() when
+/// they still match this corpus, and whatever had to be (re)built is
+/// written back so the next invocation loads instead of computing; its
+/// counters land in `stats` when non-null. Fails with the decode error
+/// of a view it cannot read.
+Result<std::shared_ptr<const CorpusSnapshot>> PinRepoSnapshot(
     const SchemaRepository& repo, const std::string& repo_dir,
-    CatalogBuildStats* stats) {
+    Indexer&& indexer, CatalogBuildStats* stats) {
   CatalogBuilder builder;
-  std::shared_ptr<const RepositoryView> view = repo.View();
-  Status added = view->ForEach([&](const Schema& schema) {
+  SCHEMR_RETURN_IF_ERROR(repo.View()->ForEach([&](const Schema& schema) {
     builder.Add(schema);
     return Status::OK();
-  });
-  if (!added.ok()) return nullptr;  // undecodable view: legacy path only
+  }));
   StoredSignatures stored;
   bool have_stored = false;
   if (auto loaded = LoadSignatures(SignaturePath(repo_dir)); loaded.ok()) {
@@ -167,39 +168,22 @@ std::shared_ptr<const MatchFeatureCatalog> LoadOrBuildCatalog(
     Status saved = SaveSignatures(SignaturePath(repo_dir), *catalog);
     (void)saved;
   }
-  return catalog;
+  auto holder = std::make_shared<Indexer>(std::move(indexer));
+  return PinSnapshot(
+      repo, std::shared_ptr<const InvertedIndex>(holder, &holder->index()),
+      std::move(catalog));
 }
 
 /// The "# signatures:" line on stderr: what standing up the catalog cost,
 /// and how many distinct terms its dictionary holds.
 void PrintCatalogLine(const CatalogBuildStats& stats,
-                      const MatchFeatureCatalog* catalog) {
+                      const MatchFeatureCatalog& catalog) {
   std::fprintf(stderr,
                "# signatures: %zu schemas (%zu loaded, %zu built, %zu "
                "corrupt), %zu dictionary terms, in %.1f ms\n",
                stats.schemas, stats.signatures_loaded, stats.signatures_built,
-               stats.corrupt_records,
-               catalog != nullptr ? catalog->terms().size() : size_t{0},
+               stats.corrupt_records, catalog.terms().size(),
                stats.seconds * 1e3);
-}
-
-/// Pins one snapshot pairing this index with this schema view (and the
-/// match-feature catalog, when one was built): the unit every CLI search
-/// and replay runs against.
-std::shared_ptr<const CorpusSnapshot> PinSnapshot(
-    const SchemaRepository& repo, Indexer&& indexer,
-    std::shared_ptr<const MatchFeatureCatalog> catalog) {
-  auto holder = std::make_shared<Indexer>(std::move(indexer));
-  auto snapshot = std::make_shared<CorpusSnapshot>();
-  snapshot->version = repo.version();
-  snapshot->index =
-      std::shared_ptr<const InvertedIndex>(holder, &holder->index());
-  snapshot->schemas = repo.View();
-  snapshot->match_features = std::move(catalog);
-  if (snapshot->match_features != nullptr) {
-    ReportTermDictionary(*snapshot->match_features);
-  }
-  return snapshot;
 }
 
 /// How LoadOrBuildIndex got its index: opening the persisted segment
@@ -321,9 +305,10 @@ int CmdSearch(SchemaRepository* repo, const std::string& repo_dir, int argc,
   }
   auto indexer = LoadOrBuildIndex(*repo, repo_dir);
   if (!indexer.ok()) return Fail(indexer.status(), "loading index");
-  auto catalog = LoadOrBuildCatalog(*repo, repo_dir, nullptr);
-  SchemrService service(repo,
-                        PinSnapshot(*repo, std::move(*indexer), catalog));
+  auto snapshot =
+      PinRepoSnapshot(*repo, repo_dir, std::move(*indexer), nullptr);
+  if (!snapshot.ok()) return Fail(snapshot.status(), "building catalog");
+  SchemrService service(repo, *std::move(snapshot));
   // Every CLI search lands in the repo's audit log (inspect with
   // `schemr audit`); failure to open it is not search-fatal.
   (void)service.EnableAudit(AuditDir(repo_dir));
@@ -402,15 +387,16 @@ int CmdStats(SchemaRepository* repo, const std::string& repo_dir, int argc,
   // first run; paying builds every time means signatures.sig is missing
   // or the corpus churned.
   CatalogBuildStats catalog_stats;
-  auto catalog = LoadOrBuildCatalog(*repo, repo_dir, &catalog_stats);
+  auto snapshot =
+      PinRepoSnapshot(*repo, repo_dir, std::move(*indexer), &catalog_stats);
+  if (!snapshot.ok()) return Fail(snapshot.status(), "building catalog");
   registry
       .GetGauge("schemr_signature_catalog_seconds",
                 "Time spent building the match-feature catalog (features "
                 "+ signatures) for the last CLI invocation.")
       ->Set(catalog_stats.seconds);
-  PrintCatalogLine(catalog_stats, catalog.get());
-  SchemrService service(repo,
-                        PinSnapshot(*repo, std::move(*indexer), catalog));
+  PrintCatalogLine(catalog_stats, *(*snapshot)->match_features);
+  SchemrService service(repo, *std::move(snapshot));
   (void)service.EnableAudit(AuditDir(repo_dir));
   // A small result cache so the derived cache gauges (hit ratio,
   // entries, capacity) appear in the dump. The pinned snapshot gives the
@@ -458,8 +444,7 @@ int CmdStats(SchemaRepository* repo, const std::string& repo_dir, int argc,
   return 0;
 }
 
-int CmdViz(SchemaRepository* repo, const std::string& repo_dir, int argc,
-           char** argv) {
+int CmdViz(SchemaRepository* repo, int argc, char** argv) {
   if (argc < 1) return Usage();
   VisualizationRequest request;
   request.schema_id = std::strtoull(argv[0], nullptr, 10);
@@ -472,19 +457,17 @@ int CmdViz(SchemaRepository* repo, const std::string& repo_dir, int argc,
       format = argv[++i];
     }
   }
-  auto indexer = LoadOrBuildIndex(*repo, repo_dir);
-  if (!indexer.ok()) return Fail(indexer.status(), "loading index");
-  SchemrService service(repo, &indexer->index());
-
+  // Rendering needs the one schema, straight from the repository: no
+  // index, catalog or service.
+  auto schema = repo->Get(request.schema_id);
+  if (!schema.ok()) return Fail(schema.status(), "fetching schema");
   Result<std::string> rendered = Status::InvalidArgument("unknown format");
-  if (format == "graphml") {
-    rendered = service.GetSchemaGraphMl(request);
-  } else if (format == "svg") {
-    rendered = service.GetSchemaSvg(request);
-  } else if (format == "dot") {
-    auto schema = repo->Get(request.schema_id);
-    if (!schema.ok()) return Fail(schema.status(), "fetching schema");
+  if (format == "dot") {
     rendered = WriteDot(BuildGraphView(*schema));
+  } else if (format == "graphml" || format == "svg") {
+    auto view = BuildVisualization(*schema, request);
+    if (!view.ok()) return Fail(view.status(), "rendering");
+    rendered = format == "svg" ? WriteSvg(*view) : WriteGraphMl(*view);
   }
   if (!rendered.ok()) return Fail(rendered.status(), "rendering");
   std::fputs(rendered->c_str(), stdout);
@@ -817,9 +800,10 @@ int CmdReplay(int argc, char** argv) {
   // schema view, and this feature catalog is what makes the digests
   // reproducible.
   CatalogBuildStats catalog_stats;
-  auto catalog = LoadOrBuildCatalog(**repo, repo_dir, &catalog_stats);
-  PrintCatalogLine(catalog_stats, catalog.get());
-  auto snapshot = PinSnapshot(**repo, std::move(*indexer), catalog);
+  auto snapshot =
+      PinRepoSnapshot(**repo, repo_dir, std::move(*indexer), &catalog_stats);
+  if (!snapshot.ok()) return Fail(snapshot.status(), "building catalog");
+  PrintCatalogLine(catalog_stats, *(*snapshot)->match_features);
 
   size_t skipped = 0;
   auto workload = LoadWorkload(workload_path, &skipped);
@@ -830,7 +814,7 @@ int CmdReplay(int argc, char** argv) {
                  skipped);
   }
 
-  auto report = ReplayWorkload(snapshot, *workload, replay_options);
+  auto report = ReplayWorkload(*snapshot, *workload, replay_options);
   if (!report.ok()) return Fail(report.status(), "replaying");
 
   std::fprintf(stderr,
@@ -1394,7 +1378,7 @@ int Run(int argc, char** argv) {
   if (command == "index") return CmdIndex(r, repo_dir);
   if (command == "search") return CmdSearch(r, repo_dir, rest_argc, rest);
   if (command == "stats") return CmdStats(r, repo_dir, rest_argc, rest);
-  if (command == "viz") return CmdViz(r, repo_dir, rest_argc, rest);
+  if (command == "viz") return CmdViz(r, rest_argc, rest);
   if (command == "export") return CmdExport(r, rest_argc, rest);
   if (command == "comment") return CmdComment(r, rest_argc, rest);
   if (command == "rate") return CmdRate(r, rest_argc, rest);
