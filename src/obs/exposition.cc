@@ -6,6 +6,8 @@
 #include <limits>
 #include <map>
 
+#include "obs/telemetry.h"
+
 namespace schemr {
 
 namespace {
@@ -17,33 +19,6 @@ std::string FormatNumber(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
   return buf;
-}
-
-void AppendEscapedJson(std::string* out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 const char* KindName(MetricKind kind) {
@@ -123,7 +98,7 @@ std::string ToJson(const MetricsRegistry& registry) {
     if (!first) out += ",";
     first = false;
     out += "\n  \"";
-    AppendEscapedJson(&out, m.name);
+    AppendJsonEscaped(&out, m.name);
     out += "\": ";
     switch (m.kind) {
       case MetricKind::kCounter:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
 namespace schemr {
@@ -393,6 +394,33 @@ void AppendJsonEscaped(std::string* out, std::string_view text) {
         }
     }
   }
+}
+
+void JsonKey(std::string* out, std::string_view key) {
+  if (out->back() != '{') out->push_back(',');
+  out->push_back('"');
+  AppendJsonEscaped(out, key);
+  *out += "\":";
+}
+
+void JsonNum(std::string* out, std::string_view key, double value) {
+  JsonKey(out, key);
+  if (!std::isfinite(value)) value = 0.0;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", value);
+  *out += buf;
+}
+
+void JsonStr(std::string* out, std::string_view key, std::string_view value) {
+  JsonKey(out, key);
+  out->push_back('"');
+  AppendJsonEscaped(out, value);
+  out->push_back('"');
+}
+
+void JsonBool(std::string* out, std::string_view key, bool value) {
+  JsonKey(out, key);
+  *out += value ? "true" : "false";
 }
 
 }  // namespace schemr

@@ -24,8 +24,9 @@
 //     Default wire responses stay byte-identical: a sampled trace is
 //     engine-internal state, never serialized into the response.
 //
-// Both feed the HTTP introspection endpoints (/statusz, /tracez); see
-// service/http_introspection.h.
+// Both feed the HTTP introspection endpoints (/statusz, /tracez), GET
+// routes on the service's HttpServer (service/http_server.h, DESIGN.md
+// §12).
 
 #ifndef SCHEMR_OBS_TELEMETRY_H_
 #define SCHEMR_OBS_TELEMETRY_H_
@@ -265,8 +266,27 @@ class TraceRetention {
 };
 
 /// Appends `text` to `*out` with JSON string escaping (quote, backslash,
-/// control characters). Shared by the introspection JSON emitters.
+/// control characters). The one JSON string escaper: the emitters below,
+/// /tracez, and the metrics JSON exposition all use it.
 void AppendJsonEscaped(std::string* out, std::string_view text);
+
+// --- Flat-JSON emitters ------------------------------------------------------
+// The vocabulary every /statusz body is written in: objects, numbers,
+// strings, booleans and nothing else, which is exactly what obs/replay.h's
+// ParseBenchJson reads, so `schemr top` and `schemr checkjson` need no real
+// JSON parser. Each call appends one `"key":value` member to `*out`, which
+// must already hold an open object (at least its '{'); a comma goes first
+// unless the member opens the object.
+
+/// Appends the member key (escaped) and its ':'; the caller writes the
+/// value, e.g. a nested '{'.
+void JsonKey(std::string* out, std::string_view key);
+/// Numbers print as %.9g, so counters stay exact up to 999 999 999. NaN
+/// and infinities, which ParseBenchJson cannot read, print as 0.
+void JsonNum(std::string* out, std::string_view key, double value);
+/// The value is always escaped.
+void JsonStr(std::string* out, std::string_view key, std::string_view value);
+void JsonBool(std::string* out, std::string_view key, bool value);
 
 }  // namespace schemr
 

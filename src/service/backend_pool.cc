@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "service/http_server.h"
 #include "util/fault_injection.h"
 
@@ -45,33 +45,6 @@ struct PoolMetrics {
   }
 };
 
-void JsonKey(std::string* out, const std::string& key) {
-  if (out->back() != '{') out->push_back(',');
-  out->push_back('"');
-  *out += key;  // keys are identifiers plus dots; nothing to escape
-  *out += "\":";
-}
-
-void JsonNum(std::string* out, const std::string& key, double value) {
-  JsonKey(out, key);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  *out += buf;
-}
-
-void JsonStr(std::string* out, const std::string& key,
-             const std::string& value) {
-  JsonKey(out, key);
-  out->push_back('"');
-  *out += value;  // state names only; nothing to escape
-  out->push_back('"');
-}
-
-void JsonBool(std::string* out, const std::string& key, bool value) {
-  JsonKey(out, key);
-  *out += value ? "true" : "false";
-}
-
 }  // namespace
 
 const char* BreakerStateName(BreakerState state) {
@@ -88,9 +61,7 @@ const char* BreakerStateName(BreakerState state) {
 
 BackendPool::BackendPool(std::vector<BackendConfig> backends,
                          BackendPoolOptions options)
-    : options_(options),
-      route_rng_(options.route_seed),
-      latency_ring_(std::max<size_t>(options.latency_window, 8), 0.0) {
+    : options_(options), route_rng_(options.route_seed) {
   backends_.reserve(backends.size());
   for (size_t i = 0; i < backends.size(); ++i) {
     Backend b;
@@ -173,7 +144,7 @@ void BackendPool::Release(int id) {
   if (backends_[id].in_flight > 0) --backends_[id].in_flight;
 }
 
-void BackendPool::ReportOutcome(int id, bool success, double latency_ms) {
+void BackendPool::ReportOutcome(int id, bool success) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (id < 0 || static_cast<size_t>(id) >= backends_.size()) return;
   Backend& b = backends_[id];
@@ -181,13 +152,10 @@ void BackendPool::ReportOutcome(int id, bool success, double latency_ms) {
   if (success) {
     b.consecutive_failures = 0;
     // A live answer is as good as a probe: it re-closes a half-open
-    // breaker and feeds the hedge-delay estimate.
+    // breaker.
     if (b.breaker == BreakerState::kHalfOpen) {
       TransitionLocked(&b, BreakerState::kClosed);
     }
-    latency_ring_[latency_next_] = latency_ms;
-    latency_next_ = (latency_next_ + 1) % latency_ring_.size();
-    latency_count_ = std::min(latency_count_ + 1, latency_ring_.size());
     return;
   }
   ++b.failures;
@@ -290,19 +258,6 @@ void BackendPool::ProbeLoop() {
   }
 }
 
-double BackendPool::HedgeDelayMs() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (latency_count_ == 0) return options_.min_hedge_delay_ms;
-  std::vector<double> sample(latency_ring_.begin(),
-                             latency_ring_.begin() +
-                                 static_cast<long>(latency_count_));
-  const size_t nth = static_cast<size_t>(
-      0.95 * static_cast<double>(sample.size() - 1));
-  std::nth_element(sample.begin(), sample.begin() + static_cast<long>(nth),
-                   sample.end());
-  return std::max(sample[nth], options_.min_hedge_delay_ms);
-}
-
 std::vector<BackendSnapshot> BackendPool::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<BackendSnapshot> out;
@@ -341,7 +296,6 @@ void BackendPool::AppendStatsJson(std::string* out) const {
   size_t routable = 0;
   for (const BackendSnapshot& s : snapshot) routable += s.routable ? 1 : 0;
   JsonNum(out, "pool.routable", static_cast<double>(routable));
-  JsonNum(out, "pool.hedge_delay_ms", HedgeDelayMs());
   for (const BackendSnapshot& s : snapshot) {
     const std::string& p = s.name;
     JsonStr(out, p + ".state", BreakerStateName(s.breaker));

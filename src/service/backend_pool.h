@@ -23,9 +23,9 @@
 // distinct candidates at random, route to the less loaded. This bounds
 // herding without the bookkeeping of full least-loaded.
 //
-// The pool also keeps a latency ring so the coordinator can derive a p95
-// hedge delay, and an admin draining bit the fleet supervisor sets before
-// SIGINTing a replica (rolling drain: stop routing first, then drain).
+// The pool also keeps an admin draining bit the fleet supervisor sets
+// before SIGINTing a replica (rolling drain: stop routing first, then
+// drain).
 //
 // Thread safety: everything is safe to call concurrently; one mutex
 // guards the backend table (probe I/O happens off-lock against a copied
@@ -73,10 +73,6 @@ struct BackendPoolOptions {
   int failure_threshold = 3;
   /// Open → half-open after this long without traffic.
   double open_cooldown_seconds = 0.5;
-  /// Latency ring size per pool (for the p95 hedge delay).
-  size_t latency_window = 512;
-  /// Hedge delay returned before the ring has data, and its floor after.
-  double min_hedge_delay_ms = 20.0;
   /// Seed for the power-of-two candidate picks (deterministic tests).
   uint64_t route_seed = 1;
 };
@@ -122,9 +118,8 @@ class BackendPool {
   void Release(int id);
 
   /// Passive outcome accounting from the coordinator: failures feed the
-  /// consecutive-failure breaker, successes reset it and feed the
-  /// latency ring.
-  void ReportOutcome(int id, bool success, double latency_ms);
+  /// consecutive-failure breaker, successes reset it.
+  void ReportOutcome(int id, bool success);
 
   /// Admin draining bit: a draining backend stops receiving new routes
   /// immediately but keeps its breaker state (it is healthy, just
@@ -139,9 +134,6 @@ class BackendPool {
 
   /// Runs one probe sweep inline (tests; Start does this once too).
   void ProbeNow();
-
-  /// p95 of reported success latencies, floored at min_hedge_delay_ms.
-  double HedgeDelayMs() const;
 
   std::vector<BackendSnapshot> Snapshot() const;
   size_t RoutableCount() const;
@@ -180,9 +172,6 @@ class BackendPool {
   mutable std::mutex mutex_;
   std::vector<Backend> backends_;
   Rng route_rng_;
-  std::vector<double> latency_ring_;
-  size_t latency_next_ = 0;
-  size_t latency_count_ = 0;
 
   std::atomic<bool> probing_{false};
   std::thread prober_;

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <thread>
 
 #include "obs/exposition.h"
 #include "obs/federation.h"
 #include "obs/metrics.h"
 #include "service/admission.h"
-#include "service/http_introspection.h"
 #include "service/request_id.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
@@ -27,11 +23,7 @@ namespace {
 struct CoordMetrics {
   Counter* requests;
   Counter* failovers;
-  Counter* hedges;
-  Counter* hedges_won;
-  Counter* hedges_lost;
   Counter* no_backend;
-  Counter* bad_gateway;
 
   static const CoordMetrics& Get() {
     static const CoordMetrics* metrics = [] {
@@ -43,48 +35,14 @@ struct CoordMetrics {
                        "Requests moved to another backend after a "
                        "connect failure, complete 503, or torn "
                        "exchange."),
-          r.GetCounter("schemr_coord_hedges_total",
-                       "Backup attempts launched after the hedge "
-                       "delay."),
-          r.GetCounter("schemr_coord_hedges_won_total",
-                       "Hedged requests answered by the backup "
-                       "attempt."),
-          r.GetCounter("schemr_coord_hedges_lost_total",
-                       "Hedged requests answered by the primary "
-                       "attempt (backup cancelled)."),
           r.GetCounter("schemr_coord_no_backend_total",
                        "Requests shed inline because no routable "
                        "backend remained."),
-          r.GetCounter("schemr_coord_bad_gateway_total",
-                       "Requests answered 502 (torn exchange with "
-                       "failover exhausted or disabled)."),
       };
     }();
     return *metrics;
   }
 };
-
-void JsonKey(std::string* out, const std::string& key) {
-  if (out->back() != '{') out->push_back(',');
-  out->push_back('"');
-  *out += key;
-  *out += "\":";
-}
-
-void JsonNum(std::string* out, const std::string& key, double value) {
-  JsonKey(out, key);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  *out += buf;
-}
-
-void JsonStr(std::string* out, const std::string& key,
-             const std::string& value) {
-  JsonKey(out, key);
-  out->push_back('"');
-  *out += value;
-  out->push_back('"');
-}
 
 /// Same error envelope HandleSearchXml uses for refusals, so the
 /// coordinator's inline sheds speak the wire format clients already
@@ -258,155 +216,43 @@ bool Coordinator::running() const {
   return server_ != nullptr && server_->running();
 }
 
-Coordinator::ForwardOutcome Coordinator::AttemptBackend(
+HttpAttemptResult Coordinator::AttemptBackend(
     int id, const HttpRequest& request, double deadline_ms,
-    double elapsed_ms, const std::vector<int>& tried,
-    const std::string& request_id, const char* route, int* next_hop,
+    double elapsed_ms, const std::string& request_id, const char* route,
     std::vector<HopRecord>* journal) {
-  ForwardOutcome out;
-  out.backend = id;
-
-  std::mutex m;
-  std::condition_variable cv;
-  int finished_mask = 0;
-  HttpAttemptResult results[2];
-  HttpCancelToken tokens[2];
-  double attempt_ms[2] = {0.0, 0.0};
-  int backend_ids[2] = {id, -1};
-  int hops[2] = {-1, -1};
-  std::thread threads[2];
-  const Timer attempt_timer;
-
-  const auto launch = [&](int slot, int backend_id, double slot_elapsed_ms) {
-    hops[slot] = (*next_hop)++;
-    const BackendConfig config = pool_->Config(backend_id);
-    const HttpCallOptions call = MakeBackendCall(
-        request, deadline_ms, elapsed_ms + slot_elapsed_ms,
-        options_.attempt_timeout_seconds, HopRequestId(request_id, hops[slot]));
-    threads[slot] = std::thread([&, slot, config, call] {
-      const Timer timer;
-      HttpAttemptResult r;
-      // coord/backend/blackhole: the attempt vanishes without a trace —
-      // classified as a torn exchange, exactly what a silently dropped
-      // connection to a live-looking backend produces.
-      if (FaultInjector::Global().Check("coord/backend/blackhole") != 0) {
-        r.kind = HttpAttemptResult::Kind::kBroken;
-        r.error = "backend blackholed (injected)";
-      } else {
-        r = HttpAttempt(config.host, config.search_port, "/search", call,
-                        &tokens[slot]);
-      }
-      std::lock_guard<std::mutex> lock(m);
-      attempt_ms[slot] = timer.ElapsedMillis();
-      results[slot] = std::move(r);
-      finished_mask |= 1 << slot;
-      cv.notify_all();
-    });
-  };
-
-  launch(0, id, 0.0);
-  bool hedge_launched = false;
-  int winner = -1;
-  {
-    std::unique_lock<std::mutex> lock(m);
-    if (options_.hedge && pool_->size() > 1) {
-      const double delay_ms = pool_->HedgeDelayMs();
-      const bool primary_done = cv.wait_for(
-          lock, std::chrono::duration<double, std::milli>(delay_ms),
-          [&] { return (finished_mask & 1) != 0; });
-      if (!primary_done) {
-        // Tail territory: launch ONE backup on a different backend.
-        lock.unlock();
-        const int hedge_id = pool_->Acquire(tried);
-        lock.lock();
-        if (hedge_id >= 0) {
-          backend_ids[1] = hedge_id;
-          hedge_launched = true;
-          hedges_.fetch_add(1, std::memory_order_relaxed);
-          CoordMetrics::Get().hedges->Increment();
-          lock.unlock();
-          launch(1, hedge_id, attempt_timer.ElapsedMillis());
-          lock.lock();
-        }
-      }
-    }
-    // First complete response wins; a failed attempt defers to the other
-    // while it is still in flight.
-    const int launched_mask = hedge_launched ? 3 : 1;
-    int inspected = 0;
-    while (winner < 0) {
-      cv.wait(lock, [&] { return (finished_mask & ~inspected) != 0; });
-      const int newly = finished_mask & ~inspected;
-      for (int slot = 0; slot < 2; ++slot) {
-        if ((newly & (1 << slot)) == 0) continue;
-        inspected |= 1 << slot;
-        if (winner < 0 &&
-            results[slot].kind == HttpAttemptResult::Kind::kOk) {
-          winner = slot;
-        }
-      }
-      if ((finished_mask & launched_mask) == launched_mask) break;
-    }
-  }
-  if (winner >= 0) {
-    // Cancel the loser by closing its socket; it unblocks promptly.
-    for (int slot = 0; slot < 2; ++slot) {
-      if (slot != winner && threads[slot].joinable()) tokens[slot].Cancel();
-    }
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-
-  // Outcome accounting. A cancelled loser is OUR doing, not the
-  // backend's: it feeds neither the breaker nor the latency ring.
-  for (int slot = 0; slot < 2; ++slot) {
-    if (backend_ids[slot] < 0) continue;
-    const HttpAttemptResult& r = results[slot];
-    const bool ok = r.kind == HttpAttemptResult::Kind::kOk;
-    const bool cancelled = !ok && tokens[slot].cancelled();
-    if (!cancelled) {
-      pool_->ReportOutcome(backend_ids[slot], ok,
-                           ok && r.reply.status == 200 ? attempt_ms[slot]
-                                                       : -1.0);
-    }
-    HopRecord hop;
-    hop.hop = hops[slot];
-    hop.backend = pool_->Config(backend_ids[slot]).name;
-    hop.route = slot == 1 ? "hedge" : route;
-    hop.latency_ms = attempt_ms[slot];
-    if (ok) {
-      hop.outcome = "ok:" + std::to_string(r.reply.status);
-    } else if (cancelled) {
-      hop.outcome = "cancelled";
-    } else if (r.kind == HttpAttemptResult::Kind::kConnectFailed) {
-      hop.outcome = "connect_failed";
-    } else {
-      hop.outcome = "broken";
-    }
-    journal->push_back(std::move(hop));
-  }
-  if (hedge_launched) {
-    pool_->Release(backend_ids[1]);
-    if (winner == 1) {
-      hedges_won_.fetch_add(1, std::memory_order_relaxed);
-      CoordMetrics::Get().hedges_won->Increment();
-    } else {
-      hedges_lost_.fetch_add(1, std::memory_order_relaxed);
-      CoordMetrics::Get().hedges_lost->Increment();
-    }
-  }
-
-  out.hedge_won = winner == 1;
-  if (winner >= 0) {
-    out.backend = backend_ids[winner];
-    out.result = std::move(results[winner]);
+  HopRecord hop;
+  hop.hop = static_cast<int>(journal->size());
+  hop.route = route;
+  const BackendConfig config = pool_->Config(id);
+  hop.backend = config.name;
+  const HttpCallOptions call = MakeBackendCall(
+      request, deadline_ms, elapsed_ms, options_.attempt_timeout_seconds,
+      HopRequestId(request_id, hop.hop));
+  const Timer timer;
+  HttpAttemptResult result;
+  // coord/backend/blackhole: the attempt vanishes without a trace —
+  // classified as a torn exchange, exactly what a silently dropped
+  // connection to a live-looking backend produces.
+  if (FaultInjector::Global().Check("coord/backend/blackhole") != 0) {
+    result.kind = HttpAttemptResult::Kind::kBroken;
+    result.error = "backend blackholed (injected)";
   } else {
-    // Neither attempt completed; classify by the primary (the hedge was
-    // opportunistic).
-    out.result = std::move(results[0]);
+    result = HttpAttempt(config.host, config.search_port, "/search", call);
   }
-  return out;
+  hop.latency_ms = timer.ElapsedMillis();
+
+  // Any complete response, whatever its status, proves the backend alive.
+  const bool ok = result.kind == HttpAttemptResult::Kind::kOk;
+  pool_->ReportOutcome(id, ok);
+  if (ok) {
+    hop.outcome = "ok:" + std::to_string(result.reply.status);
+  } else if (result.kind == HttpAttemptResult::Kind::kConnectFailed) {
+    hop.outcome = "connect_failed";
+  } else {
+    hop.outcome = "broken";
+  }
+  journal->push_back(std::move(hop));
+  return result;
 }
 
 HttpResponse Coordinator::PassThrough(const HttpAttemptResult& result) const {
@@ -464,10 +310,9 @@ HttpResponse Coordinator::ForwardSearch(const HttpRequest& request) {
     request_id = MintRequestId();
   }
 
-  int next_hop = 0;
   std::vector<HopRecord> journal;
   HttpResponse response =
-      ForwardSearchInternal(request, timer, request_id, &next_hop, &journal);
+      ForwardSearchInternal(request, timer, request_id, &journal);
 
   // The client always sees the BASE id, whichever path answered (the
   // replica's echo carried a hop suffix and was stripped in PassThrough).
@@ -479,8 +324,7 @@ HttpResponse Coordinator::ForwardSearch(const HttpRequest& request) {
 
 HttpResponse Coordinator::ForwardSearchInternal(
     const HttpRequest& request, const Timer& timer,
-    const std::string& request_id, int* next_hop,
-    std::vector<HopRecord>* journal) {
+    const std::string& request_id, std::vector<HopRecord>* journal) {
   double deadline_ms = 0.0;
   if (const std::string* header = request.FindHeader("x-schemr-deadline-ms")) {
     const double parsed = std::atof(header->c_str());
@@ -511,34 +355,20 @@ HttpResponse Coordinator::ForwardSearchInternal(
       failovers_.fetch_add(1, std::memory_order_relaxed);
       CoordMetrics::Get().failovers->Increment();
     }
-    ForwardOutcome outcome = AttemptBackend(
-        id, request, deadline_ms, timer.ElapsedMillis(), tried, request_id,
-        attempt > 0 ? "failover" : "primary", next_hop, journal);
+    HttpAttemptResult result = AttemptBackend(
+        id, request, deadline_ms, timer.ElapsedMillis(), request_id,
+        attempt > 0 ? "failover" : "primary", journal);
     pool_->Release(id);
-    if (outcome.result.kind == HttpAttemptResult::Kind::kOk) {
-      if (outcome.result.reply.status == 503) {
-        // A complete 503 is a refusal BEFORE execution (shed or
-        // draining): failing over is safe, and HttpCall's contract says
-        // so. Remember it — if every backend refuses, the client gets a
-        // real backend's shed, not a synthetic one.
-        last_refusal = std::move(outcome.result);
-        have_refusal = true;
-        continue;
-      }
-      return PassThrough(outcome.result);
-    }
-    if (outcome.result.kind == HttpAttemptResult::Kind::kConnectFailed ||
-        options_.failover_on_broken) {
-      continue;  // next routable backend, this one excluded
-    }
-    // Torn exchange with failover disabled: ambiguous, surface it.
-    bad_gateway_.fetch_add(1, std::memory_order_relaxed);
-    CoordMetrics::Get().bad_gateway->Increment();
-    HttpResponse response;
-    response.status = 502;
-    response.content_type = "application/xml";
-    response.body = CoordErrorXml("bad_gateway", outcome.result.error);
-    return response;
+    // A connect failure sent nothing, and a torn exchange only re-runs a
+    // read: either way the next routable backend takes the request.
+    if (result.kind != HttpAttemptResult::Kind::kOk) continue;
+    if (result.reply.status != 503) return PassThrough(result);
+    // A complete 503 is a refusal BEFORE execution (shed or draining):
+    // failing over is safe, and HttpCall's contract says so. Remember it
+    // — if every backend refuses, the client gets a real backend's shed,
+    // not a synthetic one.
+    last_refusal = std::move(result);
+    have_refusal = true;
   }
 
   if (have_refusal) return PassThrough(last_refusal);
@@ -564,7 +394,7 @@ void Coordinator::RetainHopJournal(const std::string& request_id,
     retained.outcome = "error";
   }
   // A single-hop 200 is the boring case and tail-samples 1-in-N; any
-  // request that failed over, hedged, or ended non-200 is always kept.
+  // request that failed over or ended non-200 is always kept.
   retained.sampled =
       journal.size() > 1 || status != 200 || traces_->ShouldSample();
   char line[160];
@@ -616,16 +446,8 @@ std::string Coordinator::StatuszJson() const {
           static_cast<double>(requests_.load(std::memory_order_relaxed)));
   JsonNum(&out, "coord.failovers",
           static_cast<double>(failovers_.load(std::memory_order_relaxed)));
-  JsonNum(&out, "coord.hedges",
-          static_cast<double>(hedges_.load(std::memory_order_relaxed)));
-  JsonNum(&out, "coord.hedges_won",
-          static_cast<double>(hedges_won_.load(std::memory_order_relaxed)));
-  JsonNum(&out, "coord.hedges_lost",
-          static_cast<double>(hedges_lost_.load(std::memory_order_relaxed)));
   JsonNum(&out, "coord.no_backend",
           static_cast<double>(no_backend_.load(std::memory_order_relaxed)));
-  JsonNum(&out, "coord.bad_gateway",
-          static_cast<double>(bad_gateway_.load(std::memory_order_relaxed)));
   // Hop-journal retention, under the same keys a replica's /statusz
   // uses so `schemr top`'s traces row works against either.
   if (traces_ != nullptr) {

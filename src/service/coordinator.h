@@ -11,6 +11,9 @@
 //     with some of its budget already spent here; each hop forwards the
 //     REMAINING budget (original minus elapsed), so a failover chain
 //     cannot overspend what the client granted.
+//   * One attempt at a time: each backend attempt is one synchronous
+//     HttpAttempt on the handler thread. The next backend is tried only
+//     once the previous attempt has ended.
 //   * Failover: a connect failure (nothing was sent) or a complete 503
 //     (the backend refused before executing — shed or draining) moves
 //     the request to the next routable backend, excluding every backend
@@ -20,14 +23,8 @@
 //   * Torn exchanges: /search is a read-only RPC, so a response that
 //     dies mid-exchange (backend killed or stalled while answering) is
 //     ALSO failed over — re-executing a search is safe, unlike the
-//     general case HttpCall's narrow retry contract protects. Routes
-//     that are not provably idempotent must keep
-//     `failover_on_broken = false`, which maps torn exchanges to an
-//     inline 502 instead.
-//   * Hedging: when enabled, a request still unanswered after a
-//     p95-derived delay launches ONE backup attempt on a second backend;
-//     the first complete response wins and the loser is cancelled by
-//     closing its socket (HttpCancelToken).
+//     general case HttpCall's narrow retry contract protects. /search is
+//     the only route the coordinator forwards.
 //   * No healthy backend: an inline 503 + Retry-After carrying
 //     `X-Schemr-Shed: queue_full` — the existing capacity-shed
 //     vocabulary, because "every replica is down or draining" is a
@@ -61,13 +58,6 @@ struct CoordinatorOptions {
   BackendPoolOptions pool;
   /// Additional backends tried after the first pick (failover budget).
   int max_failovers = 2;
-  /// Treat torn backend exchanges as retryable (see header comment).
-  /// Correct for /search because it is a read; a non-idempotent route
-  /// would need this off.
-  bool failover_on_broken = true;
-  /// Tail hedging: one backup attempt after HedgeDelayMs() without an
-  /// answer, first complete response wins, loser cancelled by close.
-  bool hedge = true;
   /// Per-attempt wall-clock budget against a backend (further clamped
   /// by the request's remaining deadline when one is set).
   double attempt_timeout_seconds = 5.0;
@@ -131,38 +121,30 @@ class Coordinator {
   TraceRetention* trace_retention() { return traces_.get(); }
 
  private:
-  struct ForwardOutcome {
-    HttpAttemptResult result;
-    int backend = -1;
-    bool hedge_won = false;  ///< the backup attempt produced the answer
-  };
-
   /// One backend attempt in a request's journal: which backend, why it
   /// was chosen, how long the hop took, how it ended.
   struct HopRecord {
     int hop = 0;              ///< hop index; suffixes the forwarded id
     std::string backend;      ///< replica name ("replica1")
-    const char* route = "primary";  ///< "primary" | "failover" | "hedge"
+    const char* route = "primary";  ///< "primary" | "failover"
     double latency_ms = 0.0;
-    std::string outcome;      ///< "ok:200", "connect_failed", "broken", ...
+    std::string outcome;      ///< "ok:<status>", "connect_failed", "broken"
   };
 
-  /// One routed attempt (with optional hedge) against backend `id`.
-  /// Forwards `request_id` hop-suffixed per launched attempt (`next_hop`
-  /// advances across the whole request) and appends the attempts to
-  /// `journal`.
-  ForwardOutcome AttemptBackend(int id, const HttpRequest& request,
-                                double deadline_ms, double elapsed_ms,
-                                const std::vector<int>& tried,
-                                const std::string& request_id,
-                                const char* route, int* next_hop,
-                                std::vector<HopRecord>* journal);
-  /// The failover/hedge loop; ForwardSearch wraps it with request-id
-  /// minting, the echoed header, and journal retention.
+  /// One attempt against backend `id`. Its hop number is the journal's
+  /// length, so hops count across the whole request; the attempt forwards
+  /// `request_id` suffixed with it, reports the outcome to the pool and
+  /// appends the hop to `journal`.
+  HttpAttemptResult AttemptBackend(int id, const HttpRequest& request,
+                                   double deadline_ms, double elapsed_ms,
+                                   const std::string& request_id,
+                                   const char* route,
+                                   std::vector<HopRecord>* journal);
+  /// The failover loop; ForwardSearch wraps it with request-id minting,
+  /// the echoed header, and journal retention.
   HttpResponse ForwardSearchInternal(const HttpRequest& request,
                                      const Timer& timer,
                                      const std::string& request_id,
-                                     int* next_hop,
                                      std::vector<HopRecord>* journal);
   void RetainHopJournal(const std::string& request_id,
                         const std::vector<HopRecord>& journal, int status,
@@ -182,11 +164,7 @@ class Coordinator {
   // kept per-instance too so /statusz is cheap and self-contained.
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> hedges_{0};
-  std::atomic<uint64_t> hedges_won_{0};
-  std::atomic<uint64_t> hedges_lost_{0};
   std::atomic<uint64_t> no_backend_{0};
-  std::atomic<uint64_t> bad_gateway_{0};
 };
 
 }  // namespace schemr

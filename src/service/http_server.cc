@@ -643,8 +643,8 @@ double JitterFactor(uint64_t* state) {
 }
 
 // Process-wide schemr_client_* series: every outbound attempt counts
-// here, whether it came from HttpCall's retry loop, the coordinator's
-// failover path, or a hedge.
+// here, whether it came from HttpCall's retry loop or the coordinator's
+// failover path.
 struct ClientMetrics {
   Counter* attempts;
   Counter* retries;
@@ -655,8 +655,8 @@ struct ClientMetrics {
       MetricsRegistry& r = MetricsRegistry::Global();
       return new ClientMetrics{
           r.GetCounter("schemr_client_attempts_total",
-                       "Outbound HTTP attempts (first tries + retries + "
-                       "hedges)."),
+                       "Outbound HTTP attempts (first tries + "
+                       "retries)."),
           r.GetCounter("schemr_client_retries_total",
                        "HttpCall retries (connect failure or complete "
                        "503-with-Retry-After)."),
@@ -753,33 +753,9 @@ HttpResponseOutcome ParseResponseHead(std::string_view data,
   return HttpResponseOutcome::kComplete;
 }
 
-void HttpCancelToken::Cancel() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cancelled_ = true;
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
-}
-
-bool HttpCancelToken::cancelled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cancelled_;
-}
-
-bool HttpCancelToken::RegisterFd(int fd) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (cancelled_) return false;
-  fd_ = fd;
-  return true;
-}
-
-void HttpCancelToken::DeregisterFd() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  fd_ = -1;
-}
-
 HttpAttemptResult HttpAttempt(const std::string& host, int port,
                               const std::string& path,
-                              const HttpCallOptions& options,
-                              HttpCancelToken* cancel) {
+                              const HttpCallOptions& options) {
   ClientMetrics::Get().attempts->Increment();
   HttpAttemptResult result;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -789,20 +765,6 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
     return result;
   }
   (void)::fcntl(fd, F_SETFD, FD_CLOEXEC);
-  // Register with the cancel token before connect: Cancel() from here on
-  // shuts the socket down and every blocking op below fails promptly.
-  // Deregister under the token's lock before every close() so a
-  // racing Cancel never touches a reused fd.
-  if (cancel != nullptr && !cancel->RegisterFd(fd)) {
-    ::close(fd);
-    result.kind = HttpAttemptResult::Kind::kBroken;
-    result.error = "attempt cancelled before connect";
-    return result;
-  }
-  const auto close_fd = [fd, cancel] {
-    if (cancel != nullptr) cancel->DeregisterFd();
-    ::close(fd);
-  };
   SetSocketTimeout(fd, options.attempt_timeout_seconds, SO_RCVTIMEO);
   SetSocketTimeout(fd, options.attempt_timeout_seconds, SO_SNDTIMEO);
   struct sockaddr_in addr;
@@ -810,7 +772,7 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close_fd();
+    ::close(fd);
     result.kind = HttpAttemptResult::Kind::kBroken;  // config error: no retry
     result.error = "bad host '" + host + "' (dotted IPv4 expected)";
     return result;
@@ -818,7 +780,7 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
   if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     const int err = errno;
-    close_fd();
+    ::close(fd);
     result.kind = HttpAttemptResult::Kind::kConnectFailed;
     result.error = "cannot connect to " + host + ":" + std::to_string(port) +
                    ": " + std::strerror(err);
@@ -845,10 +807,8 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
                              MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      close_fd();
-      result.error = cancel != nullptr && cancel->cancelled()
-                         ? "attempt cancelled (hedge lost)"
-                         : "request write failed mid-exchange";
+      ::close(fd);
+      result.error = "request write failed mid-exchange";
       return result;
     }
     remaining_send.remove_prefix(static_cast<size_t>(n));
@@ -858,14 +818,14 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
   char buf[4096];
   for (;;) {
     if (attempt_timer.ElapsedSeconds() > options.attempt_timeout_seconds) {
-      close_fd();
+      ::close(fd);
       result.error = "attempt timed out reading the response";
       return result;
     }
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) {
-      close_fd();
+      ::close(fd);
       result.error = std::string("response read failed: ") +
                      std::strerror(errno);
       return result;
@@ -873,11 +833,7 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
     if (n == 0) break;
     raw.append(buf, static_cast<size_t>(n));
   }
-  close_fd();
-  if (cancel != nullptr && cancel->cancelled()) {
-    result.error = "attempt cancelled (hedge lost)";
-    return result;
-  }
+  ::close(fd);
 
   ParsedResponseHead head;
   // The head cap mirrors the server's default: a reply head beyond it is
@@ -962,6 +918,19 @@ Result<HttpReply> HttpCall(const std::string& host, int port,
     sleep_ms(backoff_ms);
   }
   return Status::IOError(last_error.empty() ? "http call failed" : last_error);
+}
+
+Result<std::string> HttpGet(const std::string& host, int port,
+                            const std::string& path,
+                            double timeout_seconds) {
+  HttpCallOptions options;
+  options.attempt_timeout_seconds = timeout_seconds;
+  Result<HttpReply> reply = HttpCall(host, port, path, options);
+  if (!reply.ok()) return reply.status();
+  if (reply->status == 200) return std::move(reply->body);
+  std::string prefix = reply->body.substr(0, 120);
+  return Status::Unavailable("http " + std::to_string(reply->status) + ": " +
+                             prefix);
 }
 
 }  // namespace schemr

@@ -309,35 +309,6 @@ struct HttpCallOptions {
   double max_retry_after_seconds = 5.0;
 };
 
-/// Cancellation handle for one in-flight HttpAttempt, built for request
-/// hedging: the coordinator launches a backup attempt after a
-/// p95-derived delay and cancels the loser by closing its socket. The
-/// token owns the race between Cancel() and the attempt's own close():
-/// the attempt registers its socket under the token's lock and
-/// deregisters before closing, so Cancel never touches a reused fd.
-class HttpCancelToken {
- public:
-  HttpCancelToken() = default;
-  HttpCancelToken(const HttpCancelToken&) = delete;
-  HttpCancelToken& operator=(const HttpCancelToken&) = delete;
-
-  /// Shuts down the registered attempt socket (if any), making the
-  /// attempt fail promptly with kBroken. An attempt started after
-  /// Cancel() fails before connecting. Idempotent, thread-safe.
-  void Cancel();
-  bool cancelled() const;
-
-  /// Internal registration by HttpAttempt. RegisterFd returns false when
-  /// the token is already cancelled (the attempt must not proceed).
-  bool RegisterFd(int fd);
-  void DeregisterFd();
-
- private:
-  mutable std::mutex mutex_;
-  int fd_ = -1;
-  bool cancelled_ = false;
-};
-
 /// One HTTP exchange's outcome, classified for the retry/failover
 /// decision. kConnectFailed is the only "nothing was sent" class; kOk is
 /// any complete response (the caller branches on status); kBroken is a
@@ -356,12 +327,11 @@ struct HttpAttemptResult {
 
 /// Performs exactly one HTTP/1.1 exchange (Connection: close), no
 /// retries, no backoff. This is the coordinator's building block: it
-/// decides failover itself from the returned Kind, and threads a cancel
-/// token through for hedging. Counts into schemr_client_attempts_total.
+/// decides failover itself from the returned Kind. Counts into
+/// schemr_client_attempts_total.
 HttpAttemptResult HttpAttempt(const std::string& host, int port,
                               const std::string& path,
-                              const HttpCallOptions& options = {},
-                              HttpCancelToken* cancel = nullptr);
+                              const HttpCallOptions& options = {});
 
 /// Performs one HTTP/1.1 call (Connection: close) with the retry policy
 /// above. Returns the final reply for ANY complete response, 200 or not —
@@ -370,6 +340,13 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
 Result<HttpReply> HttpCall(const std::string& host, int port,
                            const std::string& path,
                            const HttpCallOptions& options = {});
+
+/// Minimal blocking GET for `schemr top`, federation scrapes and the
+/// tests. Returns the response body on any 200; Unavailable("http <code>:
+/// <body prefix>") otherwise; IOError on connect/read failures.
+Result<std::string> HttpGet(const std::string& host, int port,
+                            const std::string& path,
+                            double timeout_seconds = 5.0);
 
 }  // namespace schemr
 

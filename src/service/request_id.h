@@ -4,9 +4,9 @@
 // first schemr process that sees it (coordinator, or a directly-hit
 // replica) unless the client supplied a well-formed one. The coordinator
 // forwards a *hop-suffixed* variant ("<base>-h<N>") on each backend
-// attempt, so a hedged or failed-over request leaves distinguishable
-// per-attempt records while every fragment — coordinator hop journal,
-// replica trace, audit record — still joins back to the base id.
+// attempt, so a failed-over request leaves distinguishable per-attempt
+// records while every fragment — coordinator hop journal, replica trace,
+// audit record — still joins back to the base id.
 //
 // Ids are deliberately austere: `[A-Za-z0-9-]` only, bounded length.
 // Anything else offered by a client (oversized, control bytes, header

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -149,38 +148,6 @@ AuditOutcome ShedOutcome(ShedReason reason) {
       break;
   }
   return AuditOutcome::kShedDrain;
-}
-
-// --- Introspection JSON emitters -----------------------------------------
-// A deliberately tiny vocabulary: objects, numbers, strings, booleans —
-// exactly what obs/replay.h's ParseBenchJson reads, so `schemr top` and
-// the CI smoke check need no real JSON parser.
-
-void JsonKey(std::string* out, const char* key) {
-  if (out->back() != '{') out->push_back(',');
-  out->push_back('"');
-  *out += key;  // keys are identifiers; nothing to escape
-  *out += "\":";
-}
-
-void JsonNum(std::string* out, const char* key, double value) {
-  JsonKey(out, key);
-  if (!std::isfinite(value)) value = 0.0;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  *out += buf;
-}
-
-void JsonStr(std::string* out, const char* key, std::string_view value) {
-  JsonKey(out, key);
-  out->push_back('"');
-  AppendJsonEscaped(out, value);
-  out->push_back('"');
-}
-
-void JsonBool(std::string* out, const char* key, bool value) {
-  JsonKey(out, key);
-  *out += value ? "true" : "false";
 }
 
 /// One windowed-view sub-object ("window_1m": {...}) distilled to the
@@ -504,17 +471,19 @@ Status SchemrService::StartServing(ServingOptions options) {
   telemetry_->Start();
   traces_ = std::make_unique<TraceRetention>(options.trace_retention);
 
+  Status started = Status::OK();
   if (options.introspection_port >= 0) {
-    IntrospectionOptions iopts;
+    HttpServerOptions iopts;
     iopts.port = options.introspection_port;
-    introspection_ = std::make_unique<IntrospectionServer>(iopts);
-    introspection_->Route("/metrics", [this](const HttpRequest&) {
+    iopts.max_body_bytes = 0;  // introspection requests carry no body
+    introspection_ = std::make_unique<HttpServer>(iopts);
+    introspection_->Route("GET", "/metrics", [this](const HttpRequest&) {
       HttpResponse response;
       response.content_type = "text/plain; version=0.0.4; charset=utf-8";
       response.body = MetricsText();
       return response;
     });
-    introspection_->Route("/healthz", [this](const HttpRequest&) {
+    introspection_->Route("GET", "/healthz", [this](const HttpRequest&) {
       HttpResponse response;
       response.content_type = "application/json";
       response.body = HealthzJson(&response.status);
@@ -525,71 +494,58 @@ Status SchemrService::StartServing(ServingOptions options) {
     // balancer route here". The fleet coordinator probes /readyz, so a
     // draining replica ("dying") stops receiving traffic while a dead
     // one ("dead") is distinguished by the connect failure itself.
-    introspection_->Route("/readyz", [this](const HttpRequest&) {
+    introspection_->Route("GET", "/readyz", [this](const HttpRequest&) {
       HttpResponse response;
       response.content_type = "application/json";
       response.body = ReadyzJson(&response.status);
       return response;
     });
-    introspection_->Route("/statusz", [this](const HttpRequest&) {
+    introspection_->Route("GET", "/statusz", [this](const HttpRequest&) {
       HttpResponse response;
       response.content_type = "application/json";
       response.body = StatuszJson();
       return response;
     });
-    introspection_->Route("/tracez", [this](const HttpRequest&) {
+    introspection_->Route("GET", "/tracez", [this](const HttpRequest&) {
       HttpResponse response;
       response.content_type = "application/json";
       response.body = TracezJson();
       return response;
     });
-    introspection_->Route("/slowz", [this](const HttpRequest&) {
+    introspection_->Route("GET", "/slowz", [this](const HttpRequest&) {
       HttpResponse response;
       response.content_type = "application/json";
       response.body = SlowzJson();
       return response;
     });
-    Status started = introspection_->Start();
-    if (!started.ok()) {
-      // No traffic has been admitted yet (we still hold serving_mutex_ and
-      // executor_ has never been visible outside it), so a full unwind is
-      // safe — the caller can retry StartServing with a different port.
-      introspection_.reset();
-      telemetry_->Stop();
-      telemetry_.reset();
-      traces_.reset();
-      (void)executor_->Shutdown(0.0);
-      executor_.reset();
-      admission_.reset();
-      return started;
-    }
+    started = introspection_->Start();
   }
 
-  if (options.search_port >= 0) {
+  if (started.ok() && options.search_port >= 0) {
     HttpServerOptions sopts = options.search_http;
     sopts.port = options.search_port;
     search_server_ = std::make_unique<HttpServer>(sopts);
     search_server_->Route("POST", "/search", [this](const HttpRequest& http) {
       return HandleSearchHttp(http);
     });
-    Status started = search_server_->Start();
-    if (!started.ok()) {
-      // Same full-unwind rule as the introspection bind failure above.
-      search_server_.reset();
-      if (introspection_ != nullptr) {
-        introspection_->Stop();
-        introspection_.reset();
-      }
-      telemetry_->Stop();
-      telemetry_.reset();
-      traces_.reset();
-      (void)executor_->Shutdown(0.0);
-      executor_.reset();
-      admission_.reset();
-      return started;
-    }
+    started = search_server_->Start();
   }
-  return Status::OK();
+
+  if (!started.ok()) {
+    // A listener could not bind. No traffic has been admitted yet (we
+    // still hold serving_mutex_ and executor_ has never been visible
+    // outside it), so a full unwind is safe — the caller can retry
+    // StartServing with other ports.
+    search_server_.reset();
+    introspection_.reset();
+    telemetry_->Stop();
+    telemetry_.reset();
+    traces_.reset();
+    (void)executor_->Shutdown(0.0);
+    executor_.reset();
+    admission_.reset();
+  }
+  return started;
 }
 
 bool SchemrService::serving() const {
@@ -619,7 +575,7 @@ Status SchemrService::Shutdown(double deadline_seconds) {
   Status drained = executor->Shutdown(deadline_seconds);
   lock.lock();
   shut_down_ = true;
-  IntrospectionServer* introspection = introspection_.get();
+  HttpServer* introspection = introspection_.get();
   TelemetrySampler* telemetry = telemetry_.get();
   lock.unlock();
   // The search front end's handler pool comes down once the executor has
@@ -635,7 +591,7 @@ Status SchemrService::Shutdown(double deadline_seconds) {
   // telemetry_ are never reset once StartServing succeeds, and the
   // Stop()s are safe under concurrent Shutdown calls. The sampler stops
   // after the listeners: a handler mid-flight may still read it.
-  if (introspection != nullptr) introspection->Stop();
+  if (introspection != nullptr) introspection->Stop(/*drain_seconds=*/1.0);
   if (telemetry != nullptr) telemetry->Stop();
   return drained;
 }

@@ -21,7 +21,7 @@
 #include "obs/audit_log.h"
 #include "obs/telemetry.h"
 #include "service/admission.h"
-#include "service/http_introspection.h"
+#include "service/http_server.h"
 #include "util/executor.h"
 #include "viz/graph_view.h"
 
@@ -90,7 +90,8 @@ struct ServingOptions {
   size_t result_cache_capacity = 0;
   /// When >= 0, StartServing brings up the HTTP introspection listener on
   /// this loopback port (0 = kernel-assigned ephemeral; read the bound
-  /// port from introspection()->port()). Disabled (-1) by default: the
+  /// port from introspection()->port()): an HttpServer with GET routes
+  /// that refuses request bodies. Disabled (-1) by default: the
   /// introspection plane is opt-in per process.
   int introspection_port = -1;
   /// When >= 0, StartServing brings up the search serving front end
@@ -322,7 +323,7 @@ class SchemrService {
 
   /// The live introspection listener, or null when not enabled. Valid
   /// between StartServing and destruction.
-  const IntrospectionServer* introspection() const {
+  const HttpServer* introspection() const {
     return introspection_.get();
   }
 
@@ -411,7 +412,7 @@ class SchemrService {
   // above — run first.
   std::unique_ptr<TelemetrySampler> telemetry_;
   std::unique_ptr<TraceRetention> traces_;
-  std::unique_ptr<IntrospectionServer> introspection_;
+  std::unique_ptr<HttpServer> introspection_;
   std::unique_ptr<HttpServer> search_server_;
 };
 

@@ -30,7 +30,7 @@
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 #include "service/admission.h"
-#include "service/http_introspection.h"
+#include "service/http_server.h"
 #include "service/schemr_service.h"
 #include "util/executor.h"
 #include "util/fault_injection.h"

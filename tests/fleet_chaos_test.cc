@@ -124,7 +124,6 @@ bool Readyz(int port, double timeout_seconds = 1.0) {
 TEST(FleetTest, SearchThroughCoordinatorIsByteIdenticalToDirectBackend) {
   const std::string repo_dir = SeedRepo("schemr_fleet_ident", 40);
   CoordinatorOptions coordinator;
-  coordinator.hedge = false;  // one backend answers; no racing attempt
   Fleet fleet(MakeFleetOptions(repo_dir, 2), coordinator);
   ASSERT_TRUE(fleet.Start().ok());
 
@@ -219,7 +218,6 @@ TEST(FleetTest, KillNineUnderLoadNeverFabricatesNonShed5xx) {
 TEST(FleetTest, BreakerOpensOnInjectedFailuresAndHalfOpenProbeReadmits) {
   const std::string repo_dir = SeedRepo("schemr_fleet_breaker", 30);
   CoordinatorOptions coordinator;
-  coordinator.hedge = false;  // hedging would consume injected faults
   coordinator.pool.failure_threshold = 3;
   coordinator.pool.open_cooldown_seconds = 0.3;
   Fleet fleet(MakeFleetOptions(repo_dir, 2), coordinator);
@@ -324,7 +322,6 @@ std::string TraceLineRequestId(const std::string& line) {
 TEST(FleetTest, FailedOverRequestLeavesOneJoinableIdAcrossProcesses) {
   const std::string repo_dir = SeedRepo("schemr_fleet_join", 30);
   CoordinatorOptions coordinator;
-  coordinator.hedge = false;  // one live attempt at a time: a clean failover
   FleetOptions fleet_options = MakeFleetOptions(repo_dir, 2);
   fleet_options.serve_sample_every = 1;  // every replica request traced
   Fleet fleet(fleet_options, coordinator);
@@ -451,7 +448,6 @@ TEST(FleetTest, FailedOverRequestLeavesOneJoinableIdAcrossProcesses) {
 TEST(FleetTest, FederatedMetricsMergeBucketwiseAndSkipDeadReplicas) {
   const std::string repo_dir = SeedRepo("schemr_fleet_fed", 30);
   CoordinatorOptions coordinator;
-  coordinator.hedge = false;
   Fleet fleet(MakeFleetOptions(repo_dir, 3), coordinator);
   ASSERT_TRUE(fleet.Start().ok());
   const int port = fleet.coordinator().port();

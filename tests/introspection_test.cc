@@ -5,7 +5,7 @@
 // the wire-format guarantee that tail sampling never changes a response
 // byte.
 
-#include "service/http_introspection.h"
+#include "service/http_server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -27,6 +27,7 @@
 #include "obs/replay.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
+#include "service/backend_pool.h"
 #include "service/schemr_service.h"
 
 namespace schemr {
@@ -67,8 +68,8 @@ std::string RawRequest(int port, const std::string& raw) {
 // --- the listener itself ----------------------------------------------------
 
 TEST(IntrospectionServerTest, RoutesAndRoundTrips) {
-  IntrospectionServer server;
-  server.Route("/hello", [](const HttpRequest& request) {
+  HttpServer server;
+  server.Route("GET", "/hello", [](const HttpRequest& request) {
     HttpResponse response;
     response.body = "hi from " + request.path + "\n";
     return response;
@@ -85,8 +86,8 @@ TEST(IntrospectionServerTest, RoutesAndRoundTrips) {
 }
 
 TEST(IntrospectionServerTest, HandlerSeesQueryString) {
-  IntrospectionServer server;
-  server.Route("/echo", [](const HttpRequest& request) {
+  HttpServer server;
+  server.Route("GET", "/echo", [](const HttpRequest& request) {
     HttpResponse response;
     response.body = request.query;
     return response;
@@ -99,8 +100,9 @@ TEST(IntrospectionServerTest, HandlerSeesQueryString) {
 }
 
 TEST(IntrospectionServerTest, UnknownPathIs404ListingEndpoints) {
-  IntrospectionServer server;
-  server.Route("/metrics", [](const HttpRequest&) { return HttpResponse{}; });
+  HttpServer server;
+  server.Route("GET", "/metrics",
+               [](const HttpRequest&) { return HttpResponse{}; });
   ASSERT_TRUE(server.Start().ok());
   auto result = HttpGet("127.0.0.1", server.port(), "/nope");
   ASSERT_FALSE(result.ok());
@@ -111,8 +113,9 @@ TEST(IntrospectionServerTest, UnknownPathIs404ListingEndpoints) {
 }
 
 TEST(IntrospectionServerTest, NonGetIs405) {
-  IntrospectionServer server;
-  server.Route("/metrics", [](const HttpRequest&) { return HttpResponse{}; });
+  HttpServer server;
+  server.Route("GET", "/metrics",
+               [](const HttpRequest&) { return HttpResponse{}; });
   ASSERT_TRUE(server.Start().ok());
   std::string response =
       RawRequest(server.port(), "POST /metrics HTTP/1.1\r\n\r\n");
@@ -121,7 +124,7 @@ TEST(IntrospectionServerTest, NonGetIs405) {
 }
 
 TEST(IntrospectionServerTest, MalformedRequestLineIs400) {
-  IntrospectionServer server;
+  HttpServer server;
   ASSERT_TRUE(server.Start().ok());
   std::string response = RawRequest(server.port(), "nonsense\r\n\r\n");
   EXPECT_NE(response.find("400"), std::string::npos) << response;
@@ -129,9 +132,9 @@ TEST(IntrospectionServerTest, MalformedRequestLineIs400) {
 }
 
 TEST(IntrospectionServerTest, OversizedHeadIs431) {
-  IntrospectionOptions options;
+  HttpServerOptions options;
   options.max_request_bytes = 256;
-  IntrospectionServer server(options);
+  HttpServer server(options);
   ASSERT_TRUE(server.Start().ok());
   std::string request = "GET /" + std::string(1024, 'x') + " HTTP/1.1\r\n\r\n";
   std::string response = RawRequest(server.port(), request);
@@ -140,24 +143,24 @@ TEST(IntrospectionServerTest, OversizedHeadIs431) {
 }
 
 TEST(IntrospectionServerTest, DoubleStartFailsStopIsIdempotent) {
-  IntrospectionServer server;
+  HttpServer server;
   ASSERT_TRUE(server.Start().ok());
   EXPECT_FALSE(server.Start().ok());
   int port = server.port();
   server.Stop();
   server.Stop();  // no-op
   // The socket is actually released: a fresh server can bind that port.
-  IntrospectionOptions options;
+  HttpServerOptions options;
   options.port = port;
-  IntrospectionServer second(options);
+  HttpServer second(options);
   EXPECT_TRUE(second.Start().ok());
   second.Stop();
 }
 
 TEST(IntrospectionServerTest, ConcurrentClientsAllGetAnswers) {
-  IntrospectionServer server;
+  HttpServer server;
   std::atomic<int> calls{0};
-  server.Route("/busy", [&calls](const HttpRequest&) {
+  server.Route("GET", "/busy", [&calls](const HttpRequest&) {
     calls.fetch_add(1);
     HttpResponse response;
     response.body = "ok\n";
@@ -184,6 +187,21 @@ TEST(IntrospectionServerTest, ConcurrentClientsAllGetAnswers) {
   EXPECT_EQ(ok.load() + shed.load(), kClients);
   EXPECT_GT(ok.load(), 0);
   server.Stop();
+}
+
+// --- the coordinator's /statusz ---------------------------------------------
+
+TEST(CoordinatorStatuszTest, PoolCountersStayExactPastAMillion) {
+  // A busy coordinator passes a million requests within minutes; its
+  // counters must still read back digit for digit.
+  BackendPool pool({BackendConfig{}});
+  for (int i = 0; i < 1234567; ++i) pool.ReportOutcome(0, true);
+  std::string json = "{";
+  pool.AppendStatsJson(&json);
+  json += "}";
+  auto fields = ParseBenchJson(json);
+  ASSERT_TRUE(fields.ok()) << fields.status() << "\n" << json;
+  EXPECT_EQ(fields->at("replica0.requests"), 1234567.0) << json;
 }
 
 // --- service endpoints against a live corpus --------------------------------
@@ -321,6 +339,15 @@ TEST_F(IntrospectionServiceTest, FiveEndpointsServeLiveData) {
   ASSERT_TRUE(slowz.ok()) << slowz.status();
   EXPECT_NE(slowz->find("\"count\""), std::string::npos);
 
+  // The listener serves GET only and refuses request bodies.
+  const std::string post =
+      RawRequest(port, "POST /statusz HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(post.rfind("HTTP/1.1 405", 0), 0u) << post;
+  const std::string with_body = RawRequest(
+      port, "GET /statusz HTTP/1.1\r\nContent-Length: 16\r\n\r\n" +
+                std::string(16, 'x'));
+  EXPECT_EQ(with_body.rfind("HTTP/1.1 413", 0), 0u) << with_body;
+
   EXPECT_TRUE(service.Shutdown(5.0).ok());
   // Shutdown stops the listener with the rest of the serving plane.
   EXPECT_FALSE(HttpGet("127.0.0.1", port, "/healthz", 1.0).ok());
@@ -401,7 +428,7 @@ TEST_F(IntrospectionServiceTest, EndpointsWorkWithoutAuditOrTraffic) {
 
 TEST_F(IntrospectionServiceTest, ListenerBindFailureUnwindsStartServing) {
   // Occupy a port, then ask StartServing for exactly it.
-  IntrospectionServer squatter;
+  HttpServer squatter;
   ASSERT_TRUE(squatter.Start().ok());
 
   auto corpus_or = MakeCorpus(1);
@@ -411,12 +438,25 @@ TEST_F(IntrospectionServiceTest, ListenerBindFailureUnwindsStartServing) {
   serving.introspection_port = squatter.port();
   EXPECT_FALSE(service.StartServing(serving).ok());
   EXPECT_FALSE(service.serving());
+  EXPECT_EQ(service.introspection(), nullptr);
+  EXPECT_EQ(service.search_server(), nullptr);
+
+  // The search front end binds second: its failure also unwinds the
+  // introspection listener that did bind.
+  serving.introspection_port = 0;
+  serving.search_port = squatter.port();
+  EXPECT_FALSE(service.StartServing(serving).ok());
+  EXPECT_FALSE(service.serving());
+  EXPECT_EQ(service.introspection(), nullptr);
+  EXPECT_EQ(service.search_server(), nullptr);
   squatter.Stop();
 
   // The unwind left the service restartable.
-  serving.introspection_port = 0;
+  serving.search_port = 0;
   EXPECT_TRUE(service.StartServing(serving).ok());
   EXPECT_TRUE(service.serving());
+  EXPECT_NE(service.introspection(), nullptr);
+  EXPECT_NE(service.search_server(), nullptr);
   EXPECT_TRUE(service.Shutdown(5.0).ok());
 }
 

@@ -1,12 +1,15 @@
 // Tests for the observability subsystem: registry semantics, percentile
 // math, exposition golden strings and Prometheus conformance checking,
 // span nesting, the log-sink bridge, the lock-free increment path under
-// threads, windowed telemetry (snapshot ring + window math), and
-// tail-based trace retention.
+// threads, windowed telemetry (snapshot ring + window math), tail-based
+// trace retention, and the flat-JSON emitters every /statusz is written
+// with.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +18,7 @@
 #include "obs/exposition.h"
 #include "obs/log_bridge.h"
 #include "obs/metrics.h"
+#include "obs/replay.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -663,6 +667,40 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
   std::string out;
   AppendJsonEscaped(&out, "a\"b\\c\nd\te\x01" "f");
   EXPECT_EQ(out, "a\\\"b\\\\c\\nd\\te\\u0001f");
+}
+
+TEST(JsonEmitterTest, EveryValueRoundTripsThroughParseBenchJson) {
+  std::string out = "{";
+  JsonNum(&out, "zero", 0.0);
+  JsonNum(&out, "big", 999999999.0);
+  JsonNum(&out, "tenth", 0.1);
+  JsonNum(&out, "tiny", -2.5e-7);
+  // ParseBenchJson cannot read nan or inf, so they print as 0.
+  JsonNum(&out, "nan", std::nan(""));
+  JsonNum(&out, "inf", std::numeric_limits<double>::infinity());
+  JsonNum(&out, "neg_inf", -std::numeric_limits<double>::infinity());
+  JsonStr(&out, "text", "q\"b\\s\nn\rr\tt\x01" "end");
+  JsonBool(&out, "flag", true);
+  JsonKey(&out, "nested");
+  out += '{';
+  JsonNum(&out, "after", 7.0);
+  out += "}}";
+
+  auto fields = ParseBenchJson(out);
+  ASSERT_TRUE(fields.ok()) << fields.status() << "\n" << out;
+  EXPECT_EQ(fields->at("zero"), 0.0);
+  EXPECT_EQ(fields->at("big"), 999999999.0);
+  EXPECT_EQ(fields->at("tenth"), 0.1);
+  EXPECT_EQ(fields->at("tiny"), -2.5e-7);
+  EXPECT_EQ(fields->at("nan"), 0.0);
+  EXPECT_EQ(fields->at("inf"), 0.0);
+  EXPECT_EQ(fields->at("neg_inf"), 0.0);
+  EXPECT_EQ(fields->count("text"), 0u);  // string values are skipped
+  EXPECT_EQ(fields->at("flag"), 1.0);
+  EXPECT_EQ(fields->at("nested.after"), 7.0);
+  EXPECT_NE(out.find(R"("text":"q\"b\\s\nn\rr\tt\u0001end")"),
+            std::string::npos)
+      << out;
 }
 
 }  // namespace

@@ -51,7 +51,7 @@
 #include "obs/metrics.h"
 #include "obs/replay.h"
 #include "service/fleet.h"
-#include "service/http_introspection.h"
+#include "service/http_server.h"
 #include "service/request_id.h"
 #include "parse/ddl_parser.h"
 #include "parse/ddl_writer.h"
@@ -98,7 +98,7 @@ int Usage() {
       "         serve with the HTTP introspection plane (and, with\n"
       "         --search-port, the POST /search front end) enabled\n"
       "  fleet <repo> [--replicas N] [--port N] [--workers N]"
-      " [--duration S] [--no-hedge] [--sample-every N]\n"
+      " [--duration S] [--sample-every N]\n"
       "         serve via N supervised replica processes behind the\n"
       "         failover coordinator (SIGHUP = rolling restart)\n"
       "  top <host:port> [--interval S] [--iterations N]   live /statusz"
@@ -979,8 +979,6 @@ int CmdFleet(const std::string& repo_dir, int argc, char** argv) {
           static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
       coord_options.trace_retention.sample_every_n =
           fleet_options.serve_sample_every;
-    } else if (arg == "--no-hedge") {
-      coord_options.hedge = false;
     } else {
       return Usage();
     }
@@ -1112,12 +1110,9 @@ int CmdTop(const std::string& target, int argc, char** argv) {
           get("http.draining") != 0.0 ? "  DRAINING" : "");
     }
     if (get("pool.backends") != 0.0) {
-      std::printf(
-          "pool     %.0f backends (%.0f routable), hedge after %.1f ms,"
-          " %.0f failovers, %.0f hedges (%.0f won)\n",
-          get("pool.backends"), get("pool.routable"),
-          get("pool.hedge_delay_ms"), get("coord.failovers"),
-          get("coord.hedges"), get("coord.hedges_won"));
+      std::printf("pool     %.0f backends (%.0f routable), %.0f failovers\n",
+                  get("pool.backends"), get("pool.routable"),
+                  get("coord.failovers"));
       std::printf(
           "fleet    %.0f scraped  %.0f reqs  %.1f qps  p50 %.2f  p95 %.2f"
           "  p99 %.2f ms\n",
