@@ -271,29 +271,30 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   // --- Columnar feature prep (DESIGN.md §16) -----------------------------
   //
   // The query's own features are built ONCE here and each candidate's
-  // precomputed features come from the snapshot's catalog. Signatures
-  // additionally (a) order the candidate visit so high-similarity
-  // candidates raise the pruning floor early -- exact, since the floor
-  // only rises -- and (b) when options.prefilter > 0, reject
-  // low-similarity candidates outright (explicitly approximate).
+  // precomputed features come from the snapshot's catalog. Only a request
+  // that opts into the approximate screen (options.prefilter > 0) signs
+  // the query, to reject low-similarity candidates outright; exact search
+  // does no signature work.
   Timer prep_timer;
+  const bool prefilter_active =
+      options.enable_matching && options.prefilter > 0.0;
   std::shared_ptr<SchemaFeatures> query_features;
   std::vector<double> signature_similarity;
   if (options.enable_matching) {
     query_features = BuildSchemaFeatures(query_schema, catalog.options());
+  }
+  if (prefilter_active) {
     ComputeSignature(query_features.get(), &catalog.df());
     signature_similarity.resize(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
       const SchemaFeatures* f = catalog.Find(candidates[i].schema_id);
-      // A schema missing from the catalog is never screened or demoted.
+      // A schema missing from the catalog is never screened out.
       signature_similarity[i] =
           f != nullptr
               ? EstimatedSimilarity(query_features->signature, f->signature)
               : 1.0;
     }
   }
-  const bool prefilter_active =
-      options.enable_matching && options.prefilter > 0.0;
   const double prep_seconds = prep_timer.ElapsedSeconds();
 
   // --- Phases 2+3: parallel candidate scoring ----------------------------
@@ -469,13 +470,12 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
       return true;
     }
 
-    // Phase 3: tightness-of-fit, against the snapshot's shared entity
-    // graph.
+    // Phase 3: tightness-of-fit, reading the candidate's entity
+    // neighborhoods from its features.
     candidate_timer.Reset();
-    const std::shared_ptr<const EntityGraph> graph =
-        snapshot->entity_graphs->GetOrBuild(candidate.schema_id, schema);
-    TightnessResult tof =
-        ComputeTightnessOfFit(schema, *graph, combined, options.tightness);
+    TightnessResult tof = ComputeTightnessOfFit(
+        schema, match_context.candidate_features->component, combined,
+        options.tightness);
     tally->phase3_seconds += candidate_timer.ElapsedSeconds();
     ++tally->candidates_scored;
     tally->matched_elements += tof.matched.size();
@@ -493,21 +493,6 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     return true;
   };
 
-  // Visit order: signature-similar candidates first, so the pruning floor
-  // reflects strong candidates early and weak ones hit the skip bound.
-  // Slots stay indexed by the ORIGINAL candidate index and compaction
-  // below walks slots in candidate order, so the ranked output (and the
-  // replay digest) is independent of this permutation; with pruning the
-  // skip set can only grow (the floor only rises), never admit or evict a
-  // window member. stable_sort keeps ties in candidate order.
-  std::vector<size_t> order(candidates.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (!signature_similarity.empty() && floor.has_value()) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return signature_similarity[a] > signature_similarity[b];
-    });
-  }
-
   size_t prefilter_rejected_total = 0;
   uint64_t memo_lookups_total = 0;
   uint64_t memo_fills_total = 0;
@@ -522,9 +507,9 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     for (;;) {
       if (failed.load(std::memory_order_acquire)) break;
       const size_t next = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (next >= order.size()) break;
-      if (!score_candidate(order[next], &tally, &benched_scratch,
-                           &seconds_scratch, &match_scratch)) {
+      if (next >= candidates.size()) break;
+      if (!score_candidate(next, &tally, &benched_scratch, &seconds_scratch,
+                           &match_scratch)) {
         break;
       }
     }
@@ -600,8 +585,9 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   metrics.memo_lookups->Increment(memo_lookups_total);
   metrics.memo_fills->Increment(memo_fills_total);
 
-  // Query feature + signature prep ran once up front on the request
-  // thread; account it to phase 2, whose work it replaces.
+  // Query prep (features, plus the signature when screening) ran once up
+  // front on the request thread; account it to phase 2, whose work it
+  // replaces.
   phase2_elapsed += prep_seconds;
   if (options.enable_matching) {
     metrics.phase2_seconds->Observe(phase2_elapsed);

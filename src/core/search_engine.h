@@ -156,10 +156,8 @@ struct SearchEngineOptions {
   /// E20 in EXPERIMENTS.md measures the recall floor per threshold.
   /// Candidates without a catalog entry (scored on features built on the
   /// spot) are never rejected. Joins the result-cache options hash, so
-  /// exact and approximate answers never alias. Independently of this
-  /// threshold, signatures order the candidate visit so the pruning floor
-  /// rises early -- that reordering is exact (the floor only rises;
-  /// DESIGN.md §11) and needs no opt-in.
+  /// exact and approximate answers never alias. At 0 no signature is
+  /// computed and candidates are visited in phase-1 order.
   double prefilter = 0.0;
   /// Escape hatch: skip the result cache for this request, both the
   /// lookup and the store (debugging, cache-vs-pipeline comparisons).

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 
+#include "schema/entity_graph.h"
+
 namespace schemr {
 
 TightnessResult ComputeTightnessOfFit(const Schema& candidate,
                                       const SimilarityMatrix& similarity,
                                       const TightnessOptions& options) {
-  EntityGraph graph(candidate);
-  return ComputeTightnessOfFit(candidate, graph, similarity, options);
+  return ComputeTightnessOfFit(
+      candidate, ComponentsByElement(EntityGraph(candidate), candidate.size()),
+      similarity, options);
 }
 
 double QueryCoverage(const SimilarityMatrix& similarity, double threshold) {
@@ -22,9 +25,13 @@ double QueryCoverage(const SimilarityMatrix& similarity, double threshold) {
 }
 
 TightnessResult ComputeTightnessOfFit(const Schema& candidate,
-                                      const EntityGraph& graph,
+                                      const std::vector<uint32_t>& component,
                                       const SimilarityMatrix& similarity,
                                       const TightnessOptions& options) {
+  if (component.size() != candidate.size()) {
+    // Not this schema's components: derive them from the schema.
+    return ComputeTightnessOfFit(candidate, similarity, options);
+  }
   TightnessResult result;
   if (similarity.cols() != candidate.size()) return result;
 
@@ -80,7 +87,7 @@ TightnessResult ComputeTightnessOfFit(const Schema& candidate,
       if (m.entity == anchor) {
         penalty_fraction = 0.0;
       } else if (m.entity != kNoElement &&
-                 graph.InSameNeighborhood(m.entity, anchor)) {
+                 component[m.entity] == component[anchor]) {
         penalty_fraction = options.neighborhood_penalty;
       } else {
         penalty_fraction = options.unrelated_penalty;

@@ -18,10 +18,10 @@
 #ifndef SCHEMR_CORE_TIGHTNESS_OF_FIT_H_
 #define SCHEMR_CORE_TIGHTNESS_OF_FIT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "match/similarity_matrix.h"
-#include "schema/entity_graph.h"
 #include "schema/schema.h"
 
 namespace schemr {
@@ -67,15 +67,18 @@ struct TightnessResult {
 
 /// Computes the tightness-of-fit of `candidate` given the combined
 /// similarity matrix (rows = query elements, cols = candidate elements,
-/// cols must equal candidate.size()).
+/// cols must equal candidate.size()). Convenience: builds the candidate's
+/// EntityGraph.
 TightnessResult ComputeTightnessOfFit(const Schema& candidate,
                                       const SimilarityMatrix& similarity,
                                       const TightnessOptions& options = {});
 
-/// Convenience overload reusing a prebuilt EntityGraph (hot path of the
-/// search engine, which already has one).
+/// The same, reading entity neighborhoods from `component`, the
+/// candidate's ComponentsByElement (the search engine's hot path reads it
+/// from the candidate's match features). A `component` whose size is not
+/// candidate.size() is ignored and the graph built.
 TightnessResult ComputeTightnessOfFit(const Schema& candidate,
-                                      const EntityGraph& graph,
+                                      const std::vector<uint32_t>& component,
                                       const SimilarityMatrix& similarity,
                                       const TightnessOptions& options = {});
 

@@ -151,9 +151,10 @@ std::shared_ptr<SchemaFeatures> BuildFeatures(
     }
     SortedUnion(&children_union[id]);
   }
+  const EntityGraph graph(schema);
+  features->component = ComponentsByElement(graph, n);
   std::vector<std::vector<uint32_t>> fk_union(n);
   if (options.context.include_fk_neighbors) {
-    const EntityGraph graph(schema);
     for (ElementId id = 0; id < n; ++id) {
       if (schema.element(id).kind != ElementKind::kEntity) continue;
       for (ElementId neighbor : graph.Neighbors(id)) {

@@ -23,6 +23,8 @@
 //     plus a class id per element: all attributes of a table share one
 //     neighborhood, so the context matcher scores each pair of classes
 //     once instead of each pair of elements;
+//   - per element, its entity's FK component, so phase 3 never builds an
+//     EntityGraph at query time;
 //   - the schema's SchemaSignature (256-bit SimHash + MinHash sketch),
 //     IDF-weighted from the catalog-wide document-frequency table.
 //
@@ -143,6 +145,10 @@ struct SchemaFeatures {
   std::vector<uint32_t> class_offsets{0};
   /// Per element id: the class of its neighborhood.
   std::vector<uint32_t> neighborhood;
+  /// Per element id: the connected component of an entity in the schema's
+  /// FK/containment graph (ComponentsByElement), which phase 3's
+  /// tightness-of-fit reads.
+  std::vector<uint32_t> component;
   /// Screening signature (sealed: VerifySignature holds).
   SchemaSignature signature;
   /// Deterministic hash of the schema's matcher-visible content; keys the

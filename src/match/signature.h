@@ -5,11 +5,10 @@
 // time and stored in the CorpusSnapshot next to the inverted index. At
 // query time one XOR+popcount per candidate estimates how similar the
 // matcher ensemble would find the pair — before any similarity matrix is
-// built. Exact mode uses the estimate only to order candidate visits (the
-// score-bound pruning floor rises faster; the skip predicate itself is
-// unchanged, so the returned window cannot change). Approximate mode
-// (SearchEngineOptions::prefilter) drops candidates below a threshold and
-// is opt-in per request, with its recall floor measured by E20.
+// built. Only approximate mode (SearchEngineOptions::prefilter) reads the
+// estimate: it drops candidates below a threshold and is opt-in per
+// request, with its recall floor measured by E20. Exact search computes no
+// signature at all.
 //
 // Signatures are advisory: no matcher score is ever derived from them, so
 // hash collisions can cost a little recall in approximate mode but can

@@ -70,28 +70,18 @@ bool EntityGraph::InSameNeighborhood(ElementId a, ElementId b) const {
   return ia->second == ib->second;
 }
 
-size_t EntityGraph::Distance(ElementId a, ElementId b) const {
-  if (a == b) return 0;
-  if (!InSameNeighborhood(a, b)) return SIZE_MAX;
-  std::unordered_map<ElementId, size_t> dist;
-  std::deque<ElementId> queue{a};
-  dist[a] = 0;
-  while (!queue.empty()) {
-    ElementId cur = queue.front();
-    queue.pop_front();
-    for (ElementId next : Neighbors(cur)) {
-      if (dist.count(next)) continue;
-      dist[next] = dist[cur] + 1;
-      if (next == b) return dist[next];
-      queue.push_back(next);
-    }
-  }
-  return SIZE_MAX;  // unreachable given the component check
-}
-
 size_t EntityGraph::ComponentOf(ElementId entity) const {
   auto it = component_.find(entity);
   return it == component_.end() ? SIZE_MAX : it->second;
+}
+
+std::vector<uint32_t> ComponentsByElement(const EntityGraph& graph,
+                                          size_t num_elements) {
+  std::vector<uint32_t> component(num_elements, UINT32_MAX);
+  for (ElementId entity : graph.entities()) {
+    component[entity] = static_cast<uint32_t>(graph.ComponentOf(entity));
+  }
+  return component;
 }
 
 std::vector<ElementId> SubtreeElements(const Schema& schema, ElementId root,

@@ -3,14 +3,16 @@
 // The tightness-of-fit measure (core/tightness_of_fit.h) needs to know, for
 // a pair of entities, whether they are the same entity, in the same "entity
 // neighborhood" (transitive closure over foreign keys -- the paper's
-// definition), or unrelated. The context matcher additionally uses hop
-// distances. EntityGraph precomputes connected components and adjacency
-// once per schema.
+// definition), or unrelated; the context matcher's features read FK
+// adjacency. EntityGraph precomputes connected components and adjacency
+// once per schema, and the match-feature catalog keeps the components
+// (ComponentsByElement) so phase 3 never rebuilds a graph.
 
 #ifndef SCHEMR_SCHEMA_ENTITY_GRAPH_H_
 #define SCHEMR_SCHEMA_ENTITY_GRAPH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -35,10 +37,6 @@ class EntityGraph {
   /// keys (the transitive closure the paper uses for the "small penalty").
   bool InSameNeighborhood(ElementId a, ElementId b) const;
 
-  /// Hop distance between two entities; 0 for a==b; SIZE_MAX if
-  /// disconnected. BFS per call, O(V+E).
-  size_t Distance(ElementId a, ElementId b) const;
-
   /// Connected-component id of `entity` (dense, starting at 0).
   size_t ComponentOf(ElementId entity) const;
 
@@ -52,6 +50,12 @@ class EntityGraph {
 
   static const std::vector<ElementId>& EmptyNeighbors();
 };
+
+/// Per element id in [0, num_elements): graph.ComponentOf(e) for an entity
+/// e, UINT32_MAX for every other element. Two entities are in the same
+/// neighborhood iff their entries are equal.
+std::vector<uint32_t> ComponentsByElement(const EntityGraph& graph,
+                                          size_t num_elements);
 
 /// Collects the elements of the subtree rooted at `root`, breadth-first,
 /// stopping below `max_depth` levels (max_depth = 0 returns just the

@@ -26,6 +26,13 @@ namespace schemr {
 
 namespace {
 
+/// The near-deadline ladder: a request left with less than this fraction
+/// of its deadline after the queue wait runs with a per-matcher budget of
+/// kNearDeadlineBudgetFraction of what remains, finishing degraded instead
+/// of being dropped.
+constexpr double kNearDeadlineFraction = 0.5;
+constexpr double kNearDeadlineBudgetFraction = 0.25;
+
 /// Request count / error count / latency histogram for one endpoint.
 struct EndpointMetrics {
   Counter* requests;
@@ -660,13 +667,8 @@ std::string SchemrService::RunSearchToXml(
   const double remaining = std::max(deadline_seconds, 1e-3);
   options.deadline_seconds = remaining;
   options.scoring_threads = std::max<size_t>(1, serving_options_.scoring_threads);
-  if (remaining < original_deadline_seconds *
-                      serving_options_.near_deadline_fraction) {
-    // Near-deadline admission: tighten the per-matcher budget so the
-    // request finishes degraded within what is left rather than being
-    // dropped (the PR-2 degradation ladder).
-    options.matcher_budget_seconds =
-        remaining * serving_options_.near_deadline_budget_fraction;
+  if (remaining < original_deadline_seconds * kNearDeadlineFraction) {
+    options.matcher_budget_seconds = remaining * kNearDeadlineBudgetFraction;
   }
   std::shared_ptr<AuditLog> log = audit();
   TraceRetention* retention = traces_.get();

@@ -73,13 +73,6 @@ struct ServiceLimits {
 struct ServingOptions {
   BoundedExecutor::Options executor;
   AdmissionOptions admission;
-  /// A request that spent more than this fraction of its deadline waiting
-  /// in the queue runs with a tightened per-matcher budget (the PR-2
-  /// degradation ladder) instead of being dropped.
-  double near_deadline_fraction = 0.5;
-  /// The tightened per-matcher budget, as a fraction of the remaining
-  /// deadline.
-  double near_deadline_budget_fraction = 0.25;
   /// Threads each admitted request may use to score its candidate pool
   /// (SearchEngineOptions::scoring_threads). The engine owns that pool;
   /// it is distinct from `executor` above, which bounds how many requests

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "core/fingerprint.h"
 #include "core/query_parser.h"
@@ -567,6 +568,62 @@ TEST_F(ServiceAuditTest, PostShutdownRefusalIsRecorded) {
   EXPECT_TRUE(record.has_query_text);
   EXPECT_EQ(record.keywords, "customer");
   EXPECT_EQ(record.fingerprint, FingerprintRawRequest("customer", ""));
+}
+
+TEST_F(ServiceAuditTest, NearDeadlineRequestRunsWithTightenedBudget) {
+  // The near-deadline ladder. One worker, held by a request whose first
+  // matcher call sleeps: the next request spends most of its deadline in
+  // the queue, so it runs with a per-matcher budget of a quarter of the
+  // deadline it has left. The request that did not wait runs unbudgeted.
+  auto corpus = ServingCorpus::Create(SchemaRepository::OpenInMemory());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ASSERT_TRUE((*corpus)
+                  ->Ingest(SchemaBuilder("customer_orders")
+                               .Entity("customer")
+                               .Attribute("name")
+                               .Entity("order")
+                               .Attribute("customer_id")
+                               .Build())
+                  .ok());
+  SchemrService service(corpus->get());
+  ASSERT_TRUE(service.EnableAudit(dir_.string()).ok());
+  ServingOptions serving;
+  serving.executor.num_workers = 1;
+  ASSERT_TRUE(service.StartServing(serving).ok());
+  FaultSpec hold;
+  hold.kind = FaultKind::kDelay;
+  hold.arg = 600;  // milliseconds
+  hold.count = 1;
+  const uint64_t fired_before = FaultInjector::Global().faults_fired();
+  FaultInjector::Global().Arm("match/name", hold);
+  SearchRequest first;
+  first.keywords = "customer order";
+  std::thread holder([&] { (void)service.HandleSearchXml(first, 5.0); });
+  while (FaultInjector::Global().faults_fired() == fired_before) {
+    std::this_thread::yield();  // until the worker sleeps in the matcher
+  }
+  SearchRequest late;
+  late.keywords = "customer name";
+  (void)service.HandleSearchXml(late, 0.7);
+  holder.join();
+  FaultInjector::Global().Disarm("match/name");
+  ASSERT_TRUE(service.Shutdown(5.0).ok());
+  service.audit()->Close();
+
+  auto report = ReadAuditLog(dir_.string());
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->records.size(), 2u);
+  const AuditRecord& unwaited = report->records[0];
+  const AuditRecord& waited = report->records[1];
+  EXPECT_EQ(unwaited.fingerprint,
+            FingerprintQuery(*ParseQuery(first.keywords)));
+  EXPECT_EQ(waited.fingerprint, FingerprintQuery(*ParseQuery(late.keywords)));
+  EXPECT_EQ(unwaited.budget_micros, 0u);
+  // Most of the 0.7 s went to the queue: less than half of it is left.
+  EXPECT_LT(waited.deadline_micros, 350000u);
+  EXPECT_GT(waited.budget_micros, 0u);
+  EXPECT_NEAR(static_cast<double>(waited.budget_micros),
+              0.25 * static_cast<double>(waited.deadline_micros), 1.0);
 }
 
 TEST(ShedReasonTest, NamesAreStable) {

@@ -15,6 +15,7 @@
 #include "core/tightness_of_fit.h"
 #include "index/indexer.h"
 #include "repo/schema_repository.h"
+#include "schema/entity_graph.h"
 #include "schema/schema_builder.h"
 
 namespace schemr {
@@ -210,6 +211,22 @@ TEST(TightnessOfFitTest, UnrelatedEntityGetsLargerPenalty) {
   // Anchor patient: height+gender 1.0, case elements 0.8, doctor 0.5 →
   // same 0.82. Anchor doctor: 1 + 4·0.5 = 0.6. Max = 0.82 < 0.88.
   EXPECT_NEAR(result.score, 0.82, 1e-9);
+
+  // The engine's overload reads the neighborhoods from a component
+  // vector: the schema's own gives the same answer, one that puts every
+  // entity in one component gives Fig. 4's, and one of another size is
+  // ignored for the schema's own graph.
+  const std::vector<uint32_t> own =
+      ComponentsByElement(EntityGraph(g.schema), g.schema.size());
+  EXPECT_EQ(ComputeTightnessOfFit(g.schema, own, m, options).score,
+            result.score);
+  const std::vector<uint32_t> joined(g.schema.size(), 0);
+  EXPECT_NEAR(ComputeTightnessOfFit(g.schema, joined, m, options).score, 0.88,
+              1e-9);
+  EXPECT_EQ(ComputeTightnessOfFit(g.schema, std::vector<uint32_t>{}, m,
+                                  options)
+                .score,
+            result.score);
 }
 
 TEST(TightnessOfFitTest, TighterSchemasScoreHigher) {

@@ -244,10 +244,6 @@ TEST(EntityGraphTest, FkNeighborhood) {
   EXPECT_TRUE(graph.InSameNeighborhood(clinic_case, doctor));
   EXPECT_TRUE(graph.InSameNeighborhood(patient, doctor));
   EXPECT_EQ(graph.NumComponents(), 1u);
-
-  EXPECT_EQ(graph.Distance(clinic_case, patient), 1u);
-  EXPECT_EQ(graph.Distance(patient, doctor), 2u);  // via case
-  EXPECT_EQ(graph.Distance(patient, patient), 0u);
 }
 
 TEST(EntityGraphTest, DisconnectedComponents) {
@@ -262,7 +258,6 @@ TEST(EntityGraphTest, DisconnectedComponents) {
   auto b = *schema.FindByName("b", ElementKind::kEntity);
   EXPECT_FALSE(graph.InSameNeighborhood(a, b));
   EXPECT_EQ(graph.NumComponents(), 2u);
-  EXPECT_EQ(graph.Distance(a, b), SIZE_MAX);
 }
 
 TEST(EntityGraphTest, NestedEntitiesAreNeighbors) {
@@ -276,7 +271,6 @@ TEST(EntityGraphTest, NestedEntitiesAreNeighbors) {
   auto outer = *schema.FindByName("outer", ElementKind::kEntity);
   auto inner = *schema.FindByName("inner", ElementKind::kEntity);
   EXPECT_TRUE(graph.InSameNeighborhood(outer, inner));
-  EXPECT_EQ(graph.Distance(outer, inner), 1u);
 }
 
 TEST(EntityGraphTest, NeighborsHaveNoDuplicates) {

@@ -28,8 +28,10 @@
 #include "match/signature.h"
 #include "obs/replay.h"
 #include "parse/ddl_writer.h"
+#include "parse/xsd_importer.h"
 #include "reference_matchers.h"
 #include "repo/schema_repository.h"
+#include "schema/entity_graph.h"
 #include "schema/schema_builder.h"
 #include "text/ngram.h"
 #include "util/timer.h"
@@ -589,7 +591,8 @@ std::vector<std::string> FkFragments(size_t count) {
   return fragments;
 }
 
-/// Asserts two ranked lists agree to the bit.
+/// Asserts two ranked lists agree to the bit, phase 3's anchor and
+/// per-element penalties included.
 void ExpectSameRanking(const std::vector<SearchResult>& a,
                        const std::vector<SearchResult>& b,
                        const std::string& where) {
@@ -601,6 +604,18 @@ void ExpectSameRanking(const std::vector<SearchResult>& a,
     EXPECT_EQ(a[i].score, b[i].score) << where << " rank " << i;
     EXPECT_EQ(a[i].tightness, b[i].tightness) << where << " rank " << i;
     EXPECT_EQ(a[i].coarse_score, b[i].coarse_score) << where << " rank " << i;
+    EXPECT_EQ(a[i].best_anchor, b[i].best_anchor) << where << " rank " << i;
+    EXPECT_EQ(a[i].num_matches, b[i].num_matches) << where << " rank " << i;
+    ASSERT_EQ(a[i].matched_elements.size(), b[i].matched_elements.size())
+        << where << " rank " << i;
+    for (size_t m = 0; m < a[i].matched_elements.size(); ++m) {
+      const MatchedElement& x = a[i].matched_elements[m];
+      const MatchedElement& y = b[i].matched_elements[m];
+      EXPECT_EQ(x.element, y.element) << where << " rank " << i;
+      EXPECT_EQ(x.score, y.score) << where << " rank " << i;
+      EXPECT_EQ(x.penalized_score, y.penalized_score)
+          << where << " rank " << i << " element " << x.element;
+    }
   }
 }
 
@@ -685,64 +700,185 @@ TEST(EnginePrefilterTest, IncrementalCorpusAnswersEqualFreshCreate) {
   // A mixed run of Ingest/Update/Remove extends the dictionary in a
   // different order than a fresh Create over the same repository assigns
   // ids (and keeps the terms of removed schemas); every answer must still
-  // be the same.
+  // be the same, over several corpora.
   const fs::path dir =
       fs::temp_directory_path() /
       ("schemr_incremental_catalog_" +
        std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-  fs::remove_all(dir);
   std::vector<QueryGraph> queries;
   for (const char* q : kQueries) queries.push_back(*ParseQuery(q));
   for (const std::string& fragment : FkFragments(3)) {
     queries.push_back(*ParseQuery("", fragment));
   }
 
-  std::vector<std::vector<SearchResult>> live_answers;
-  {
-    auto repo = SchemaRepository::Open(dir.string());
-    ASSERT_TRUE(repo.ok()) << repo.status();
-    for (Schema& s : SmallCorpus(40, /*seed=*/31)) {
-      ASSERT_TRUE((*repo)->Insert(std::move(s)).ok());
-    }
-    auto live = ServingCorpus::Create(std::move(*repo));
-    ASSERT_TRUE(live.ok()) << live.status();
-    std::vector<Schema> arrivals = SmallCorpus(30, /*seed=*/32);
-    std::vector<SchemaId> ingested;
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-      auto id = (*live)->Ingest(arrivals[i]);
-      ASSERT_TRUE(id.ok()) << id.status();
-      ingested.push_back(*id);
-      if (i % 4 == 1) {
-        // An earlier arrival (an even one) gets another schema's content.
-        Schema replacement = arrivals[(i + 7) % arrivals.size()];
-        replacement.set_id(ingested[i / 2]);
-        ASSERT_TRUE((*live)->Update(replacement).ok());
+  for (uint64_t seed : {31, 41, 51, 61, 71}) {
+    SCOPED_TRACE("corpus seed " + std::to_string(seed));
+    fs::remove_all(dir);
+    std::vector<std::vector<SearchResult>> live_answers;
+    {
+      auto repo = SchemaRepository::Open(dir.string());
+      ASSERT_TRUE(repo.ok()) << repo.status();
+      for (Schema& s : SmallCorpus(40, seed)) {
+        ASSERT_TRUE((*repo)->Insert(std::move(s)).ok());
       }
-      if (i % 6 == 5) {
-        // An odd arrival leaves again; its terms stay in the dictionary.
-        ASSERT_TRUE((*live)->Remove(ingested[i - 2]).ok());
+      auto live = ServingCorpus::Create(std::move(*repo));
+      ASSERT_TRUE(live.ok()) << live.status();
+      std::vector<Schema> arrivals = SmallCorpus(30, seed + 1);
+      std::vector<SchemaId> ingested;
+      for (size_t i = 0; i < arrivals.size(); ++i) {
+        auto id = (*live)->Ingest(arrivals[i]);
+        ASSERT_TRUE(id.ok()) << id.status();
+        ingested.push_back(*id);
+        if (i % 4 == 1) {
+          // An earlier arrival (an even one) gets another schema's content.
+          Schema replacement = arrivals[(i + 7) % arrivals.size()];
+          replacement.set_id(ingested[i / 2]);
+          ASSERT_TRUE((*live)->Update(replacement).ok());
+        }
+        if (i % 6 == 5) {
+          // An odd arrival leaves again; its terms stay in the dictionary.
+          ASSERT_TRUE((*live)->Remove(ingested[i - 2]).ok());
+        }
+      }
+      SearchEngine engine(live->get());
+      for (const QueryGraph& query : queries) {
+        auto results = engine.Search(query);
+        ASSERT_TRUE(results.ok()) << results.status();
+        live_answers.push_back(std::move(*results));
       }
     }
-    SearchEngine engine(live->get());
-    for (const QueryGraph& query : queries) {
-      auto results = engine.Search(query);
-      ASSERT_TRUE(results.ok()) << results.status();
-      live_answers.push_back(std::move(*results));
-    }
-  }
 
-  auto reopened = SchemaRepository::Open(dir.string());
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  auto fresh = ServingCorpus::Create(std::move(*reopened));
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  SearchEngine engine(fresh->get());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto results = engine.Search(queries[q]);
-    ASSERT_TRUE(results.ok()) << results.status();
-    ExpectSameRanking(live_answers[q], *results, "query " + std::to_string(q));
+    auto reopened = SchemaRepository::Open(dir.string());
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    auto fresh = ServingCorpus::Create(std::move(*reopened));
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    SearchEngine engine(fresh->get());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto results = engine.Search(queries[q]);
+      ASSERT_TRUE(results.ok()) << results.status();
+      ExpectSameRanking(live_answers[q], *results,
+                        "query " + std::to_string(q));
+    }
   }
-  fresh->reset();
   fs::remove_all(dir);
+}
+
+/// An XSD schema whose nested complex elements are nested entities, tied
+/// to their parents by containment edges only.
+Schema NestedXsd() {
+  auto schema = ParseXsd(R"xml(
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="visit">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="diagnosis" type="xs:string"/>
+        <xs:element name="patient">
+          <xs:complexType>
+            <xs:sequence>
+              <xs:element name="height" type="xs:double"/>
+            </xs:sequence>
+          </xs:complexType>
+        </xs:element>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="warehouse">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="city" type="xs:string"/>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>)xml",
+                         "nested_visit");
+  EXPECT_TRUE(schema.ok()) << schema.status();
+  return *std::move(schema);
+}
+
+/// Two groups of FK-linked entities with no key between the groups.
+Schema TwoFkGroups() {
+  return SchemaBuilder("two_fk_groups")
+      .Entity("patient")
+      .Attribute("height", DataType::kDouble)
+      .Entity("visit")
+      .Attribute("patient_id", DataType::kInt64)
+      .References("patient")
+      .Entity("warehouse")
+      .Attribute("city")
+      .Entity("stock")
+      .Attribute("warehouse_id", DataType::kInt64)
+      .References("warehouse")
+      .Build();
+}
+
+/// Asserts every catalog entry of `snapshot` carries its schema's
+/// EntityGraph components, entity by entity.
+void ExpectCatalogComponents(const CorpusSnapshot& snapshot,
+                             const std::string& where) {
+  const MatchFeatureCatalog& catalog = *snapshot.match_features;
+  EXPECT_EQ(catalog.size(), snapshot.schemas->Size()) << where;
+  Status walked = snapshot.schemas->ForEach([&](const Schema& schema) {
+    const SchemaFeatures* features = catalog.Find(schema.id());
+    if (features == nullptr || features->component.size() != schema.size()) {
+      ADD_FAILURE() << where << ": schema " << schema.id()
+                    << " has no components of its size";
+      return Status::OK();
+    }
+    const EntityGraph graph(schema);
+    for (ElementId e : graph.entities()) {
+      EXPECT_EQ(features->component[e], graph.ComponentOf(e))
+          << where << ": schema " << schema.name() << " entity " << e;
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(walked.ok()) << walked;
+}
+
+TEST(CatalogComponentTest, EveryBuildPathFillsEntityComponents) {
+  // The shapes the components must tell apart: containment-only
+  // neighbors (XSD nesting) and FK groups with no path between them.
+  const Schema nested = NestedXsd();
+  const EntityGraph nested_graph(nested);
+  const ElementId visit = *nested.FindByName("visit", ElementKind::kEntity);
+  const ElementId patient =
+      *nested.FindByName("patient", ElementKind::kEntity);
+  const ElementId warehouse =
+      *nested.FindByName("warehouse", ElementKind::kEntity);
+  ASSERT_EQ(nested.element(patient).parent, visit);
+  ASSERT_TRUE(nested_graph.InSameNeighborhood(visit, patient));
+  ASSERT_FALSE(nested_graph.InSameNeighborhood(visit, warehouse));
+  ASSERT_EQ(EntityGraph(TwoFkGroups()).NumComponents(), 2u);
+
+  auto repo = SchemaRepository::OpenInMemory();
+  for (Schema& s : SmallCorpus(12, /*seed=*/19)) {
+    ASSERT_TRUE(repo->Insert(std::move(s)).ok());
+  }
+  auto nested_id = repo->Insert(nested);
+  ASSERT_TRUE(nested_id.ok()) << nested_id.status();
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ExpectCatalogComponents(*(*corpus)->Snapshot(), "after Create");
+
+  auto groups_id = (*corpus)->Ingest(TwoFkGroups());
+  ASSERT_TRUE(groups_id.ok()) << groups_id.status();
+  for (Schema& s : SmallCorpus(3, /*seed=*/23)) {
+    ASSERT_TRUE((*corpus)->Ingest(std::move(s)).ok());
+  }
+  ExpectCatalogComponents(*(*corpus)->Snapshot(), "after Ingest");
+
+  // Swap the two shapes' contents: each id's components must follow.
+  Schema swapped_groups = TwoFkGroups();
+  swapped_groups.set_id(*nested_id);
+  ASSERT_TRUE((*corpus)->Update(swapped_groups).ok());
+  Schema swapped_nested = nested;
+  swapped_nested.set_id(*groups_id);
+  ASSERT_TRUE((*corpus)->Update(swapped_nested).ok());
+  std::shared_ptr<const CorpusSnapshot> updated = (*corpus)->Snapshot();
+  ExpectCatalogComponents(*updated, "after Update");
+  const SchemaFeatures* moved = updated->match_features->Find(*groups_id);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved->component[visit], moved->component[patient]);
+  EXPECT_NE(moved->component[visit], moved->component[warehouse]);
 }
 
 TEST(EnginePrefilterTest, PrefilterRejectsAndCounts) {
