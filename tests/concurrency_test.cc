@@ -167,6 +167,29 @@ TEST_F(ConcurrencyTest, CorpusSnapshotPairsIndexAndSchemas) {
             (*corpus)->Snapshot()->schemas->Size());
 }
 
+TEST_F(ConcurrencyTest, WriterFreesRetiredSnapshots) {
+  auto corpus = MakeCorpus(3);
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+
+  // A snapshot no reader holds is freed by the write that replaces it.
+  std::weak_ptr<const CorpusSnapshot> unheld = (*corpus)->Snapshot();
+  ASSERT_TRUE((*corpus)->Ingest(ClinicSchema("first")).ok());
+  EXPECT_TRUE(unheld.expired());
+
+  // A snapshot a reader holds across a write stays intact for it, and the
+  // reader's release is not the last one: the next write frees it.
+  std::shared_ptr<const CorpusSnapshot> held = (*corpus)->Snapshot();
+  std::weak_ptr<const CorpusSnapshot> watched = held;
+  const size_t docs = held->index->NumDocs();
+  SchemaId second = *(*corpus)->Ingest(ClinicSchema("second"));
+  EXPECT_EQ(held->index->NumDocs(), docs);
+  EXPECT_FALSE(held->schemas->Contains(second));
+  held.reset();
+  EXPECT_FALSE(watched.expired());
+  ASSERT_TRUE((*corpus)->Remove(second).ok());
+  EXPECT_TRUE(watched.expired());
+}
+
 // --- the bounded executor ----------------------------------------------------
 
 TEST_F(ConcurrencyTest, ExecutorRunsEverySubmittedTask) {

@@ -268,6 +268,40 @@ TEST(IndexPersistenceTest, SaveLoadRoundTrip) {
   fs::remove(path);
 }
 
+TEST(IndexPersistenceTest, PositionsSurviveCopyAndSaveLoad) {
+  // One posting with a single position and one with five: a posting
+  // stores up to three positions itself and longer lists on the heap.
+  InvertedIndex index;
+  ASSERT_TRUE(index.AddDocument(MakeDoc(1, "one", {"patient"})).ok());
+  ASSERT_TRUE(index.AddDocument(
+      MakeDoc(2, "five", {"patient patient patient patient patient"})).ok());
+  auto positions_of = [](const InvertedIndex& in) {
+    std::vector<std::vector<uint32_t>> out;
+    for (const Posting& p : *in.GetPostings(Field::kBody, "patient")) {
+      EXPECT_EQ(p.positions.size(), p.tf);
+      out.emplace_back(p.positions.begin(), p.positions.end());
+    }
+    return out;
+  };
+  const std::vector<std::vector<uint32_t>> original = positions_of(index);
+  ASSERT_EQ(original.size(), 2u);
+  EXPECT_EQ(original[0].size(), 1u);
+  ASSERT_EQ(original[1].size(), 5u);
+  for (size_t i = 1; i < original[1].size(); ++i) {
+    EXPECT_LT(original[1][i - 1], original[1][i]);
+  }
+
+  const InvertedIndex copy(index);
+  EXPECT_EQ(positions_of(copy), original);
+
+  fs::path path = fs::temp_directory_path() / "schemr_index_positions.idx";
+  ASSERT_TRUE(index.Save(path.string()).ok());
+  auto loaded = InvertedIndex::Load(path.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(positions_of(*loaded), original);
+  fs::remove(path);
+}
+
 TEST(IndexPersistenceTest, CorruptionDetected) {
   fs::path path = fs::temp_directory_path() / "schemr_index_corrupt.idx";
   InvertedIndex index = MakeClinicCorpus();
