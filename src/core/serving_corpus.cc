@@ -9,14 +9,17 @@ namespace schemr {
 
 namespace {
 
-struct SignatureMetrics {
+struct CorpusMetrics {
   Histogram* build_seconds;
   Gauge* dictionary_terms;
+  Gauge* index_open_seconds;
+  Gauge* index_rebuild_seconds;
+  Gauge* catalog_seconds;
 
-  static const SignatureMetrics& Get() {
-    static const SignatureMetrics* metrics = [] {
+  static const CorpusMetrics& Get() {
+    static const CorpusMetrics* metrics = [] {
       MetricsRegistry& r = MetricsRegistry::Global();
-      return new SignatureMetrics{
+      return new CorpusMetrics{
           r.GetHistogram("schemr_signature_build_seconds",
                          "Wall time spent building match-feature catalogs "
                          "and schema signatures (full rebuilds and "
@@ -24,6 +27,15 @@ struct SignatureMetrics {
           r.GetGauge("schemr_match_term_dictionary_terms",
                      "Distinct terms in the published snapshot's "
                      "corpus-wide match-feature dictionary."),
+          r.GetGauge("schemr_index_open_seconds",
+                     "Last ServingCorpus::Open: keying the corpus and "
+                     "reading the persisted index segment."),
+          r.GetGauge("schemr_index_rebuild_seconds",
+                     "Last ServingCorpus::Open: rebuilding the index (0 "
+                     "when it adopted the persisted segment)."),
+          r.GetGauge("schemr_signature_catalog_seconds",
+                     "Last ServingCorpus::Open: building the match-feature "
+                     "catalog (features + signatures)."),
       };
     }();
     return *metrics;
@@ -33,7 +45,7 @@ struct SignatureMetrics {
 /// Sets the schemr_match_term_dictionary_terms gauge to the size of the
 /// dictionary `catalog` publishes: on every publication and every pin.
 void ReportTermDictionary(const MatchFeatureCatalog& catalog) {
-  SignatureMetrics::Get().dictionary_terms->Set(
+  CorpusMetrics::Get().dictionary_terms->Set(
       static_cast<double>(catalog.terms().size()));
 }
 
@@ -41,22 +53,18 @@ void ReportTermDictionary(const MatchFeatureCatalog& catalog) {
 
 Result<std::shared_ptr<const CorpusSnapshot>> PinSnapshot(
     const SchemaRepository& repository,
-    std::shared_ptr<const InvertedIndex> index,
-    std::shared_ptr<const MatchFeatureCatalog> catalog) {
+    std::shared_ptr<const InvertedIndex> index) {
   auto snapshot = std::make_shared<CorpusSnapshot>();
   snapshot->schemas = repository.View();
   snapshot->version = snapshot->schemas->version();
   snapshot->index = std::move(index);
-  if (catalog == nullptr) {
-    CatalogBuilder builder;
-    SCHEMR_RETURN_IF_ERROR(
-        snapshot->schemas->ForEach([&builder](const Schema& schema) {
-          builder.Add(schema);
-          return Status::OK();
-        }));
-    catalog = builder.Build();
-  }
-  snapshot->match_features = std::move(catalog);
+  CatalogBuilder builder;
+  SCHEMR_RETURN_IF_ERROR(
+      snapshot->schemas->ForEach([&builder](const Schema& schema) {
+        builder.Add(schema);
+        return Status::OK();
+      }));
+  snapshot->match_features = builder.Build();
   ReportTermDictionary(*snapshot->match_features);
   return std::shared_ptr<const CorpusSnapshot>(std::move(snapshot));
 }
@@ -70,6 +78,47 @@ Result<std::unique_ptr<ServingCorpus>> ServingCorpus::Create(
   std::unique_ptr<ServingCorpus> corpus(
       new ServingCorpus(std::move(repository)));
   SCHEMR_RETURN_IF_ERROR(corpus->Reindex());
+  return corpus;
+}
+
+Result<std::unique_ptr<ServingCorpus>> ServingCorpus::Open(
+    std::unique_ptr<SchemaRepository> repository,
+    const std::string& state_dir, OpenReport* report) {
+  std::unique_ptr<ServingCorpus> corpus(
+      new ServingCorpus(std::move(repository)));
+  const std::string segment_path = state_dir + "/segment.idx";
+  const std::string signature_path = state_dir + "/signatures.sig";
+  // The corpus owns its repository, so this is the view RebuildLocked
+  // publishes. A segment saved without a key (0) is never adopted.
+  Timer timer;
+  const uint64_t key = corpus->repository_->View()->ContentKey();
+  uint64_t segment_key = 0;
+  Result<InvertedIndex> segment =
+      InvertedIndex::Load(segment_path, &segment_key);
+  const bool adopt = segment.ok() && segment_key != 0 &&
+                     segment_key == key &&
+                     segment->analyzer().options() == AnalyzerOptions{};
+  const double open_seconds = timer.ElapsedSeconds();
+  Result<StoredSignatures> stored = LoadSignatures(signature_path);
+
+  std::lock_guard<std::mutex> lock(corpus->writer_mutex_);
+  SCHEMR_ASSIGN_OR_RETURN(
+      OpenReport opened,
+      corpus->RebuildLocked(adopt ? &*segment : nullptr,
+                            stored.ok() ? &*stored : nullptr));
+  opened.index_open_seconds = open_seconds;
+  const std::shared_ptr<const CorpusSnapshot> snapshot = corpus->Snapshot();
+  if (!adopt) opened.persisted = snapshot->index->Save(segment_path, key);
+  if (opened.catalog.signatures_built > 0 ||
+      opened.catalog.corrupt_records > 0) {
+    Status saved = SaveSignatures(signature_path, *snapshot->match_features);
+    if (opened.persisted.ok()) opened.persisted = std::move(saved);
+  }
+  const CorpusMetrics& metrics = CorpusMetrics::Get();
+  metrics.index_open_seconds->Set(opened.index_open_seconds);
+  metrics.index_rebuild_seconds->Set(opened.index_rebuild_seconds);
+  metrics.catalog_seconds->Set(opened.catalog.seconds);
+  if (report != nullptr) *report = std::move(opened);
   return corpus;
 }
 
@@ -149,7 +198,7 @@ void ServingCorpus::AddFeaturesLocked(const Schema& schema) {
   df_.AddDocument(*features);
   ComputeSignature(features.get(), *df_.terms(), &df_);
   features_[schema.id()] = std::move(features);
-  SignatureMetrics::Get().build_seconds->Observe(timer.ElapsedSeconds());
+  CorpusMetrics::Get().build_seconds->Observe(timer.ElapsedSeconds());
 }
 
 Status ServingCorpus::Remove(SchemaId id) {
@@ -168,35 +217,14 @@ Status ServingCorpus::Remove(SchemaId id) {
 
 Status ServingCorpus::Reindex() {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  return RebuildLocked(nullptr);
+  return RebuildLocked(nullptr, nullptr).status();
 }
 
-Status ServingCorpus::ReindexWithStoredSignatures(
-    const std::string& signature_path, CatalogBuildStats* stats) {
-  StoredSignatures stored;
-  const StoredSignatures* stored_ptr = nullptr;
-  {
-    // Missing or unreadable file is a clean cold start, not an error; a
-    // bad header means the file is garbage and a full rebuild (plus the
-    // save below) replaces it.
-    Result<StoredSignatures> loaded = LoadSignatures(signature_path);
-    if (loaded.ok()) {
-      stored = std::move(loaded).value();
-      stored_ptr = &stored;
-    }
-  }
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  SCHEMR_RETURN_IF_ERROR(RebuildLocked(stored_ptr));
-  if (stats != nullptr) *stats = last_build_stats_;
-  // Persist the (possibly rebuilt) signatures for the next open. Failure
-  // to write is non-fatal: the cache is advisory.
-  Status saved = SaveSignatures(signature_path, *Snapshot()->match_features);
-  (void)saved;
-  return Status::OK();
-}
-
-Status ServingCorpus::RebuildLocked(const StoredSignatures* stored) {
+Result<OpenReport> ServingCorpus::RebuildLocked(
+    InvertedIndex* adopted, const StoredSignatures* stored) {
   ReclaimLocked();
+  OpenReport report;
+  report.index_adopted = adopted != nullptr;
   // Build against the repository view that will ship in the snapshot, so
   // the rebuilt index, the catalog and the published schemas agree
   // exactly. The index gets a pass of its own before the catalog's, which
@@ -205,28 +233,32 @@ Status ServingCorpus::RebuildLocked(const StoredSignatures* stored) {
   // every later copy-on-write clone of that scattered index (one per
   // ingest) takes markedly more CPU than the decode saves.
   std::shared_ptr<const RepositoryView> schemas = repository_->View();
-  SCHEMR_RETURN_IF_ERROR(index_.Apply([&schemas, this](InvertedIndex* index) {
-    *index = InvertedIndex();
-    return schemas->ForEach([index](const Schema& schema) {
-      return index->AddDocument(FlattenSchema(schema));
-    });
-  }));
+  Timer timer;
+  SCHEMR_RETURN_IF_ERROR(
+      index_.Apply([adopted, &schemas](InvertedIndex* index) {
+        if (adopted != nullptr) {
+          *index = std::move(*adopted);
+          return Status::OK();
+        }
+        *index = InvertedIndex();
+        return schemas->ForEach([index](const Schema& schema) {
+          return index->AddDocument(FlattenSchema(schema));
+        });
+      }));
+  if (!report.index_adopted) {
+    report.index_rebuild_seconds = timer.ElapsedSeconds();
+  }
   CatalogBuilder builder;
   SCHEMR_RETURN_IF_ERROR(schemas->ForEach([&builder](const Schema& schema) {
     builder.Add(schema);
     return Status::OK();
   }));
-  auto catalog = builder.Build(stored, &last_build_stats_);
+  auto catalog = builder.Build(stored, &report.catalog);
   features_ = catalog->features();
   df_ = catalog->df();
-  SignatureMetrics::Get().build_seconds->Observe(last_build_stats_.seconds);
+  CorpusMetrics::Get().build_seconds->Observe(report.catalog.seconds);
   PublishLocked();
-  return Status::OK();
-}
-
-CatalogBuildStats ServingCorpus::last_build_stats() const {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  return last_build_stats_;
+  return report;
 }
 
 }  // namespace schemr

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -58,15 +59,25 @@ struct CorpusSnapshot {
 };
 
 /// Pins one complete snapshot without a live corpus: `index` paired with
-/// `repository`'s current view and a match-feature catalog over that
-/// view -- `catalog` when given, else one built here. The unit a search
-/// runs against outside a ServingCorpus (the CLI, replay, tests). Fails
-/// with the decode error of a view it cannot read, as
-/// ServingCorpus::Create does.
+/// `repository`'s current view and a match-feature catalog built over
+/// that view. The unit a search runs against outside a ServingCorpus
+/// (static engines, tests, benches). Fails with the decode error of a
+/// view it cannot read, as ServingCorpus::Create does.
 Result<std::shared_ptr<const CorpusSnapshot>> PinSnapshot(
     const SchemaRepository& repository,
-    std::shared_ptr<const InvertedIndex> index,
-    std::shared_ptr<const MatchFeatureCatalog> catalog = nullptr);
+    std::shared_ptr<const InvertedIndex> index);
+
+/// What ServingCorpus::Open adopted from its state directory or rebuilt,
+/// and what each part cost.
+struct OpenReport {
+  bool index_adopted = false;          ///< segment.idx served as is
+  double index_open_seconds = 0.0;     ///< keying + reading the segment
+  double index_rebuild_seconds = 0.0;  ///< 0 when the segment was adopted
+  CatalogBuildStats catalog;           ///< signatures loaded/built/corrupt
+  /// The first failed write-back (OK when none failed). Open still
+  /// succeeds: the files are advisory.
+  Status persisted;
+};
 
 /// Owns a SchemaRepository plus the index built over it and keeps the two
 /// in lock-step behind atomically swapped snapshots.
@@ -74,8 +85,19 @@ class ServingCorpus {
  public:
   /// Wraps `repository` (which may already hold schemas) and indexes its
   /// current contents. Fails if an existing schema cannot be re-indexed.
+  /// Reads and writes no file.
   static Result<std::unique_ptr<ServingCorpus>> Create(
       std::unique_ptr<SchemaRepository> repository);
+
+  /// Create, adopting what `state_dir` persists: `segment.idx` when it
+  /// was written for exactly this repository content
+  /// (RepositoryView::ContentKey) and analyzer, and the CRC-valid
+  /// records of `signatures.sig` under its corpus hash. Whatever it could
+  /// not adopt (a stale, key-less, old, torn or corrupt segment is never
+  /// served) it rebuilds and writes back. Later writes touch no file.
+  static Result<std::unique_ptr<ServingCorpus>> Open(
+      std::unique_ptr<SchemaRepository> repository,
+      const std::string& state_dir, OpenReport* report = nullptr);
 
   /// Inserts the schema into the repository (durably, assigning an id),
   /// indexes it, and publishes the combined snapshot. Returns the id.
@@ -90,18 +112,6 @@ class ServingCorpus {
   /// Rebuilds the index and the catalog from the repository's current
   /// contents and republishes.
   Status Reindex();
-
-  /// Reindex() with signature persistence: tries to adopt CRC-valid
-  /// signatures for the current corpus from `signature_path` (missing or
-  /// unreadable file → clean full build; corrupt or stale records are
-  /// dropped, counted and recomputed — never served), then writes the
-  /// rebuilt signature set back to the same path. `stats`, when non-null,
-  /// receives the build counters.
-  Status ReindexWithStoredSignatures(const std::string& signature_path,
-                                     CatalogBuildStats* stats = nullptr);
-
-  /// Counters of the most recent full catalog build (Create/Reindex).
-  CatalogBuildStats last_build_stats() const;
 
   /// The current corpus snapshot (never null; one acquire-load). Hold the
   /// returned pointer for the duration of a search so every phase sees
@@ -133,9 +143,10 @@ class ServingCorpus {
 
   /// Full rebuild of the index and the catalog from the repository's
   /// current view, then publication (caller holds writer_mutex_);
-  /// replaces features_/df_ and records stats. `stored` may be null (no
-  /// persisted signatures to adopt).
-  Status RebuildLocked(const StoredSignatures* stored);
+  /// replaces features_/df_. Takes over `adopted` instead of indexing the
+  /// view, and signatures from `stored`, when non-null.
+  Result<OpenReport> RebuildLocked(InvertedIndex* adopted,
+                                   const StoredSignatures* stored);
 
   /// Builds, signs and adds `schema`'s features to the working set,
   /// extending the dictionary copy-on-write (caller holds writer_mutex_).
@@ -152,7 +163,6 @@ class ServingCorpus {
   std::unordered_map<SchemaId, std::shared_ptr<const SchemaFeatures>>
       features_;
   DfTable df_;
-  CatalogBuildStats last_build_stats_;
   AtomicSharedPtr<const CorpusSnapshot> snapshot_;
   /// Replaced snapshots, behind writer_mutex_. Holding them here means a
   /// reader never drops the last reference; one that a search holds

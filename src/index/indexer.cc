@@ -82,8 +82,8 @@ Result<IndexerStats> Indexer::Refresh(const SchemaRepository& repo) {
     ++stats.schemas_removed;
   }
 
-  // Index schemas the index does not know yet. (Content changes are
-  // handled by callers via IndexSchema; the repository does not version.)
+  // Index schemas the index does not know yet. A content change under
+  // the same id is not seen: callers reindex it with IndexSchema.
   for (SchemaId id : repo.Ids()) {
     if (index_.ContainsDocument(id)) continue;
     SCHEMR_ASSIGN_OR_RETURN(Schema schema, repo.Get(id));

@@ -11,7 +11,7 @@
 namespace schemr {
 
 namespace {
-constexpr std::string_view kMagic = "SIX1";
+constexpr std::string_view kMagic = "SIX2";  // SIX1 carried no corpus key
 }
 
 std::string InvertedIndex::TermKey(Field field, std::string_view term) {
@@ -153,9 +153,11 @@ void InvertedIndex::Vacuum() {
   live_docs_ = docs_.size();
 }
 
-Status InvertedIndex::Save(const std::string& path) const {
+Status InvertedIndex::Save(const std::string& path,
+                          uint64_t corpus_key) const {
   std::string out;
   out.append(kMagic);
+  PutFixed64(&out, corpus_key);
 
   // Analyzer options, so a loaded index analyzes queries identically.
   const AnalyzerOptions& ao = analyzer_.options();
@@ -205,7 +207,8 @@ Status InvertedIndex::Save(const std::string& path) const {
   return Status::OK();
 }
 
-Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
+Result<InvertedIndex> InvertedIndex::Load(const std::string& path,
+                                          uint64_t* corpus_key) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::IOError("cannot open index file " + path);
   std::string contents((std::istreambuf_iterator<char>(file)),
@@ -229,6 +232,8 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
   }
   data = body;
 
+  uint64_t key = 0;
+  SCHEMR_RETURN_IF_ERROR(GetFixed64(&data, &key));
   if (data.size() < 4) return Status::Corruption("truncated index header");
   AnalyzerOptions ao;
   ao.lowercase = data[0] != 0;
@@ -326,6 +331,7 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
   if (!data.empty()) {
     return Status::Corruption("trailing bytes in index file");
   }
+  if (corpus_key != nullptr) *corpus_key = key;
   return index;
 }
 

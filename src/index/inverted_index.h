@@ -167,13 +167,16 @@ class InvertedIndex {
   /// ordinals).
   void Vacuum();
 
-  /// Serializes the whole index to `path` ("segment file"): varint
-  /// delta-encoded postings with a CRC32 footer.
-  Status Save(const std::string& path) const;
+  /// Serializes the whole index to `path` ("segment file"): the key of
+  /// the corpus content it was built from (0 = none), the analyzer
+  /// options, varint delta-encoded postings and a CRC32 footer.
+  Status Save(const std::string& path, uint64_t corpus_key = 0) const;
 
   /// Loads an index previously written by Save. The analyzer options are
-  /// restored from the file so query analysis matches index analysis.
-  static Result<InvertedIndex> Load(const std::string& path);
+  /// restored from the file so query analysis matches index analysis;
+  /// `corpus_key`, when non-null, receives the key it was saved with.
+  static Result<InvertedIndex> Load(const std::string& path,
+                                    uint64_t* corpus_key = nullptr);
 
  private:
   friend class IndexCodec;

@@ -11,6 +11,7 @@
 #include "schema/entity_graph.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
+#include "util/crc32.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -551,8 +552,7 @@ constexpr size_t kRecordPayload =
     sizeof(uint32_t);                                        // signature crc
 constexpr size_t kRecordSize = kRecordPayload + sizeof(uint32_t);
 
-void EncodeRecord(SchemaId id, const SchemaSignature& signature,
-                  unsigned char* out) {
+void EncodeRecord(SchemaId id, const SchemaSignature& signature, char* out) {
   size_t offset = 0;
   std::memcpy(out + offset, &id, sizeof(id));
   offset += sizeof(id);
@@ -562,15 +562,14 @@ void EncodeRecord(SchemaId id, const SchemaSignature& signature,
   offset += sizeof(signature.minhash);
   std::memcpy(out + offset, &signature.crc, sizeof(signature.crc));
   offset += sizeof(signature.crc);
-  const uint32_t record_crc = Crc32(out, kRecordPayload);
+  const uint32_t record_crc = Crc32(std::string_view(out, kRecordPayload));
   std::memcpy(out + offset, &record_crc, sizeof(record_crc));
 }
 
-bool DecodeRecord(const unsigned char* in, SchemaId* id,
-                  SchemaSignature* signature) {
+bool DecodeRecord(const char* in, SchemaId* id, SchemaSignature* signature) {
   uint32_t record_crc = 0;
   std::memcpy(&record_crc, in + kRecordPayload, sizeof(record_crc));
-  if (record_crc != Crc32(in, kRecordPayload)) return false;
+  if (record_crc != Crc32(std::string_view(in, kRecordPayload))) return false;
   size_t offset = 0;
   std::memcpy(id, in + offset, sizeof(*id));
   offset += sizeof(*id);
@@ -595,10 +594,10 @@ Status SaveSignatures(const std::string& path,
   out.write(reinterpret_cast<const char*>(&corpus_hash), sizeof(corpus_hash));
   const uint64_t count = catalog.features().size();
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  unsigned char record[kRecordSize];
+  char record[kRecordSize];
   for (const auto& [id, features] : catalog.features()) {
     EncodeRecord(id, features->signature, record);
-    out.write(reinterpret_cast<const char*>(record), sizeof(record));
+    out.write(record, sizeof(record));
   }
   out.close();
   if (!out) return Status::IOError("failed writing signatures to " + path);
@@ -621,9 +620,9 @@ Result<StoredSignatures> LoadSignatures(const std::string& path) {
       version != kSignatureVersion) {
     return Status::ParseError("bad signature file header in " + path);
   }
-  unsigned char record[kRecordSize];
+  char record[kRecordSize];
   for (uint64_t i = 0; i < count; ++i) {
-    in.read(reinterpret_cast<char*>(record), sizeof(record));
+    in.read(record, sizeof(record));
     if (!in) {
       // Truncated tail: everything unread counts as corrupt, the records
       // already decoded stay usable.

@@ -1,6 +1,9 @@
 #include "match/signature.h"
 
 #include <cstring>
+#include <string_view>
+
+#include "util/crc32.h"
 
 namespace schemr {
 
@@ -25,31 +28,7 @@ const MinHashSeeds& Seeds() {
   return seeds;
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-struct Crc32Table {
-  uint32_t table[256];
-  Crc32Table() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-  }
-};
-
 }  // namespace
-
-uint32_t Crc32(const void* data, size_t size) {
-  static const Crc32Table crc_table;
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = crc_table.table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
 
 uint64_t MixHash64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -110,11 +89,11 @@ double EstimatedSimilarity(const SchemaSignature& a,
 }
 
 uint32_t SignatureCrc(const SchemaSignature& signature) {
-  unsigned char payload[sizeof(signature.simhash) + sizeof(signature.minhash)];
+  char payload[sizeof(signature.simhash) + sizeof(signature.minhash)];
   std::memcpy(payload, signature.simhash, sizeof(signature.simhash));
   std::memcpy(payload + sizeof(signature.simhash), signature.minhash,
               sizeof(signature.minhash));
-  return Crc32(payload, sizeof(payload));
+  return Crc32(std::string_view(payload, sizeof(payload)));
 }
 
 void SealSignature(SchemaSignature* signature) {

@@ -50,10 +50,6 @@ uint64_t MixHash64(uint64_t x);
 /// FNV-1a over a byte string, the seed for MixHash64 on textual grams.
 uint64_t HashBytes(const void* data, size_t size);
 
-/// CRC-32 (IEEE 802.3, reflected), exposed for the signature file's
-/// per-record checksums.
-uint32_t Crc32(const void* data, size_t size);
-
 /// Hamming distance between the two SimHashes (XOR+popcount, 4 words).
 size_t SimHashDistance(const SchemaSignature& a, const SchemaSignature& b);
 

@@ -1,8 +1,11 @@
 #include "repo/schema_repository.h"
 
+#include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "schema/schema_codec.h"
@@ -67,6 +70,27 @@ Status RepositoryView::ForEach(
     SCHEMR_RETURN_IF_ERROR(fn(schema));
   }
   return Status::OK();
+}
+
+uint64_t RepositoryView::ContentKey() const {
+  // Each step (xor, rotate, multiply by an odd constant) is a bijection
+  // of the key, so changing any one input word changes it; each record's
+  // id and length precede its bytes.
+  uint64_t key = 0x5343484d52564945ull;
+  auto fold = [&key](uint64_t word) {
+    key = std::rotl(key ^ word, 29) * 0x9e3779b97f4a7c15ull;
+  };
+  for (const auto& [id, encoded] : encoded_) {
+    fold(id);
+    fold(encoded->size());
+    for (size_t at = 0; at < encoded->size(); at += 8) {
+      uint64_t word = 0;
+      std::memcpy(&word, encoded->data() + at,
+                  std::min<size_t>(8, encoded->size() - at));
+      fold(word);
+    }
+  }
+  return key;
 }
 
 // --- SchemaRepository --------------------------------------------------------

@@ -77,6 +77,12 @@ class RepositoryView {
   /// Monotone publication counter of the owning repository.
   uint64_t version() const { return version_; }
 
+  /// 64-bit key of this view's content: every record's id and encoded
+  /// bytes, in id order. Equal views have equal keys; views that differ
+  /// anywhere, a description included, collide with odds of about 2^-64.
+  /// Keys the persisted index segment to the corpus it was built from.
+  uint64_t ContentKey() const;
+
  private:
   friend class SchemaRepository;
   uint64_t version_ = 0;

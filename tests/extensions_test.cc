@@ -213,8 +213,8 @@ TEST(AnnotationsTest, BoostLiftsEndorsedSchemas) {
   ASSERT_TRUE(plain_results.ok());
   EXPECT_EQ((*plain_results)[0].schema_id, plain);
 
-  // The same through a pinned service, as `schemr search --boost` runs
-  // it: the service's repository answers the annotation reads.
+  // The same through a pinned service: the service's repository answers
+  // the annotation reads.
   auto snapshot = PinSnapshot(*repo, std::shared_ptr<const InvertedIndex>(
                                          std::shared_ptr<void>(),
                                          &indexer.index()));

@@ -30,8 +30,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/serving_corpus.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "obs/audit_log.h"
 #include "obs/exposition.h"
 #include "obs/federation.h"
@@ -61,8 +61,9 @@ int TortureCycles() {
   return 4;
 }
 
-/// Seeds an on-disk repository + index segment the way `schemr seed`
-/// does, so real `schemr serve` children can open it.
+/// Seeds an on-disk repository and writes its segment.idx and
+/// signatures.sig through ServingCorpus::Open, the way `schemr seed`
+/// does, so real `schemr serve` children adopt both.
 std::string SeedRepo(const std::string& name, size_t schemas) {
   const fs::path dir =
       fs::temp_directory_path() /
@@ -77,9 +78,10 @@ std::string SeedRepo(const std::string& name, size_t schemas) {
   for (const GeneratedSchema& g : GenerateCorpus(options)) {
     EXPECT_TRUE((*repo)->Insert(g.schema).ok());
   }
-  Indexer indexer;
-  EXPECT_TRUE(indexer.RebuildFromRepository(**repo).ok());
-  EXPECT_TRUE(indexer.Save((dir / "segment.idx").string()).ok());
+  OpenReport report;
+  EXPECT_TRUE(
+      ServingCorpus::Open(std::move(*repo), dir.string(), &report).ok());
+  EXPECT_TRUE(report.persisted.ok()) << report.persisted;
   return dir.string();
 }
 

@@ -245,9 +245,9 @@ class IntrospectionServiceTest : public ::testing::Test {
 };
 
 TEST_F(IntrospectionServiceTest, PinnedStatuszReportsItsSnapshot) {
-  // A pinned service (the kind the CLI builds) reports the snapshot it
-  // searches -- its version, index size and catalog size -- and keeps
-  // reporting it after the corpus it came from moves on.
+  // A pinned service reports the snapshot it searches -- its version,
+  // index size and catalog size -- and keeps reporting it after the
+  // corpus it came from moves on.
   auto corpus_or = MakeCorpus(5);
   ASSERT_TRUE(corpus_or.ok());
   const std::shared_ptr<const CorpusSnapshot> snapshot =

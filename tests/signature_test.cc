@@ -178,6 +178,9 @@ TEST(SignatureTest, SealedCrcDetectsBitFlip) {
   auto f = BuildSchemaFeatures(Clinic(), options);
   ComputeSignature(f.get(), nullptr);
   EXPECT_TRUE(VerifySignature(f->signature));
+  // The seal is util/crc32's CRC-32 over simhash+minhash, pinned so that
+  // signatures.sig files already on disk keep verifying.
+  EXPECT_EQ(f->signature.crc, 0xbb95ddaeu);
   SchemaSignature tampered = f->signature;
   tampered.simhash[3] ^= 0x10;
   EXPECT_FALSE(VerifySignature(tampered));
@@ -748,16 +751,40 @@ TEST(EnginePrefilterTest, IncrementalCorpusAnswersEqualFreshCreate) {
       }
     }
 
-    auto reopened = SchemaRepository::Open(dir.string());
-    ASSERT_TRUE(reopened.ok()) << reopened.status();
-    auto fresh = ServingCorpus::Create(std::move(*reopened));
-    ASSERT_TRUE(fresh.ok()) << fresh.status();
-    SearchEngine engine(fresh->get());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      auto results = engine.Search(queries[q]);
-      ASSERT_TRUE(results.ok()) << results.status();
-      ExpectSameRanking(live_answers[q], *results,
-                        "query " + std::to_string(q));
+    {
+      auto reopened = SchemaRepository::Open(dir.string());
+      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      auto fresh = ServingCorpus::Create(std::move(*reopened));
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      SearchEngine engine(fresh->get());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto results = engine.Search(queries[q]);
+        ASSERT_TRUE(results.ok()) << results.status();
+        ExpectSameRanking(live_answers[q], *results,
+                          "query " + std::to_string(q));
+      }
+    }
+
+    // Reopening from persisted state answers as the in-memory corpus did:
+    // the first Open rebuilds and writes the segment and the signatures,
+    // the second adopts both.
+    for (bool adopts : {false, true}) {
+      SCOPED_TRACE(adopts ? "adopting open" : "rebuilding open");
+      auto reopened = SchemaRepository::Open(dir.string());
+      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      OpenReport report;
+      auto opened =
+          ServingCorpus::Open(std::move(*reopened), dir.string(), &report);
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      EXPECT_EQ(report.index_adopted, adopts);
+      EXPECT_EQ(report.catalog.signatures_built == 0, adopts);
+      SearchEngine engine(opened->get());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto results = engine.Search(queries[q]);
+        ASSERT_TRUE(results.ok()) << results.status();
+        ExpectSameRanking(live_answers[q], *results,
+                          "query " + std::to_string(q));
+      }
     }
   }
   fs::remove_all(dir);
@@ -1117,32 +1144,40 @@ TEST_F(SignatureFileTest, TruncatedHeaderIsParseError) {
 // --- serving corpus ---------------------------------------------------------------
 
 TEST_F(SignatureFileTest, ServingCorpusPublishesAndPersistsCatalog) {
-  auto repo = SchemaRepository::OpenInMemory();
-  for (Schema& s : SmallCorpus(6)) {
-    ASSERT_TRUE(repo->Insert(std::move(s)).ok());
+  const std::string repo_dir = (dir_ / "repo").string();
+  {
+    auto repo = SchemaRepository::Open(repo_dir);
+    ASSERT_TRUE(repo.ok()) << repo.status();
+    for (Schema& s : SmallCorpus(6)) {
+      ASSERT_TRUE((*repo)->Insert(std::move(s)).ok());
+    }
+    auto corpus = ServingCorpus::Open(std::move(*repo), dir_.string());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+
+    auto snapshot = (*corpus)->Snapshot();
+    ASSERT_NE(snapshot->match_features, nullptr);
+    EXPECT_EQ(snapshot->match_features->size(), 6u);
+
+    // Incremental ingest extends the catalog in the next snapshot.
+    ASSERT_TRUE((*corpus)->Ingest(Clinic()).ok());
+    auto after = (*corpus)->Snapshot();
+    EXPECT_EQ(after->match_features->size(), 7u);
+    EXPECT_GT(after->version, snapshot->version);
   }
-  auto corpus = ServingCorpus::Create(std::move(repo));
-  ASSERT_TRUE(corpus.ok()) << corpus.status();
 
-  auto snapshot = (*corpus)->Snapshot();
-  ASSERT_NE(snapshot->match_features, nullptr);
-  EXPECT_EQ(snapshot->match_features->size(), 6u);
-
-  // Incremental ingest extends the catalog in the next snapshot.
-  ASSERT_TRUE((*corpus)->Ingest(Clinic()).ok());
-  auto after = (*corpus)->Snapshot();
-  EXPECT_EQ(after->match_features->size(), 7u);
-  EXPECT_GT(after->version, snapshot->version);
-
-  // Reindex with persistence: first run builds and writes the file,
-  // second run adopts every signature from it.
+  // The ingest wrote no file, so the first reopen builds all seven
+  // signatures and writes the file; the second adopts every one of them.
   CatalogBuildStats first;
-  ASSERT_TRUE(
-      (*corpus)->ReindexWithStoredSignatures(SigPath(), &first).ok());
-  EXPECT_EQ(first.signatures_built, 7u);
   CatalogBuildStats second;
-  ASSERT_TRUE(
-      (*corpus)->ReindexWithStoredSignatures(SigPath(), &second).ok());
+  for (CatalogBuildStats* stats : {&first, &second}) {
+    auto repo = SchemaRepository::Open(repo_dir);
+    ASSERT_TRUE(repo.ok()) << repo.status();
+    OpenReport report;
+    auto corpus = ServingCorpus::Open(std::move(*repo), dir_.string(), &report);
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    *stats = report.catalog;
+  }
+  EXPECT_EQ(first.signatures_built, 7u);
   EXPECT_EQ(second.signatures_loaded, 7u);
   EXPECT_EQ(second.signatures_built, 0u);
 }

@@ -44,7 +44,6 @@
 #include "core/serving_corpus.h"
 #include "corpus/query_workload.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "obs/audit_log.h"
 #include "obs/exposition.h"
 #include "obs/log_bridge.h"
@@ -79,7 +78,7 @@ int Usage() {
       "  import <repo> <file.sql|file.xsd> [name]   add a schema\n"
       "  list <repo>                                list schemas\n"
       "  show <repo> <id>                           print one schema\n"
-      "  index <repo>                               (re)build the segment\n"
+      "  index <repo>                               refresh persisted state\n"
       "  search <repo> <keywords...> [--fragment f] [--top N] [--offset N]"
       " [--boost] [--explain]\n"
       "         [--prefilter T]   T in (0,1): approximate signature screen\n"
@@ -111,9 +110,7 @@ int Usage() {
       " (e.g. /statusz)\n"
       "  replay <workload> --repo <dir> [--threads N] [--repeat N]"
       " [--engine-threads N] [--prefilter T]\n"
-      "         [--out f.json] [--baseline f.json] [--tolerance X]"
-      " [--qps-tolerance X]\n"
-      "         [--record f.xml]                        replay a workload\n"
+      "         [--out f.json] [--record f.xml]         replay a workload\n"
       "  seed <repo> [--schemas N] [--seed S] [--workload f.xml]"
       " [--queries M]\n"
       "         generate a synthetic corpus (and optional workload)\n");
@@ -128,95 +125,32 @@ Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-std::string SegmentPath(const std::string& repo_dir) {
-  return repo_dir + "/segment.idx";
-}
-
 std::string AuditDir(const std::string& repo_dir) {
   return repo_dir + "/audit";
 }
 
-std::string SignaturePath(const std::string& repo_dir) {
-  return repo_dir + "/signatures.sig";
-}
-
-/// Pins the snapshot every CLI search and replay runs against: this
-/// index, the repository's current view and a match-feature catalog over
-/// it. The catalog adopts signatures persisted at SignaturePath() when
-/// they still match this corpus, and whatever had to be (re)built is
-/// written back so the next invocation loads instead of computing; its
-/// counters land in `stats` when non-null. Fails with the decode error
-/// of a view it cannot read.
-Result<std::shared_ptr<const CorpusSnapshot>> PinRepoSnapshot(
-    const SchemaRepository& repo, const std::string& repo_dir,
-    Indexer&& indexer, CatalogBuildStats* stats) {
-  CatalogBuilder builder;
-  SCHEMR_RETURN_IF_ERROR(repo.View()->ForEach([&](const Schema& schema) {
-    builder.Add(schema);
-    return Status::OK();
-  }));
-  StoredSignatures stored;
-  bool have_stored = false;
-  if (auto loaded = LoadSignatures(SignaturePath(repo_dir)); loaded.ok()) {
-    stored = std::move(*loaded);
-    have_stored = true;
+/// The "# index:" and "# signatures:" lines on stderr: what Open adopted
+/// or rebuilt, what it cost, and the size of the catalog's dictionary.
+void PrintOpenReport(const OpenReport& report, const ServingCorpus& corpus) {
+  if (report.index_adopted) {
+    std::fprintf(stderr, "# index: adopted persisted segment in %.1f ms\n",
+                 report.index_open_seconds * 1e3);
+  } else {
+    std::fprintf(stderr, "# index: no usable segment, rebuilt in %.1f ms\n",
+                 report.index_rebuild_seconds * 1e3);
   }
-  std::shared_ptr<const MatchFeatureCatalog> catalog =
-      builder.Build(have_stored ? &stored : nullptr, stats);
-  if (stats == nullptr || stats->signatures_built > 0 ||
-      stats->corrupt_records > 0) {
-    Status saved = SaveSignatures(SignaturePath(repo_dir), *catalog);
-    (void)saved;
-  }
-  auto holder = std::make_shared<Indexer>(std::move(indexer));
-  return PinSnapshot(
-      repo, std::shared_ptr<const InvertedIndex>(holder, &holder->index()),
-      std::move(catalog));
-}
-
-/// The "# signatures:" line on stderr: what standing up the catalog cost,
-/// and how many distinct terms its dictionary holds.
-void PrintCatalogLine(const CatalogBuildStats& stats,
-                      const MatchFeatureCatalog& catalog) {
+  const CatalogBuildStats& stats = report.catalog;
   std::fprintf(stderr,
                "# signatures: %zu schemas (%zu loaded, %zu built, %zu "
                "corrupt), %zu dictionary terms, in %.1f ms\n",
                stats.schemas, stats.signatures_loaded, stats.signatures_built,
-               stats.corrupt_records, catalog.terms().size(),
+               stats.corrupt_records,
+               corpus.Snapshot()->match_features->terms().size(),
                stats.seconds * 1e3);
-}
-
-/// How LoadOrBuildIndex got its index: opening the persisted segment
-/// (cheap; Refresh catches up on imports) or a full rebuild. The two
-/// paths are timed separately so `stats` can report which one a
-/// deployment is actually paying for.
-struct IndexLoadTiming {
-  bool rebuilt = false;
-  double open_seconds = 0.0;     ///< LoadFrom + Refresh (segment path)
-  double rebuild_seconds = 0.0;  ///< RebuildFromRepository + Save
-};
-
-/// Loads the saved index segment if present, otherwise rebuilds from the
-/// repository (and saves, so the next invocation is fast).
-Result<Indexer> LoadOrBuildIndex(const SchemaRepository& repo,
-                                 const std::string& repo_dir,
-                                 IndexLoadTiming* timing = nullptr) {
-  Indexer indexer;
-  Timer timer;
-  if (indexer.LoadFrom(SegmentPath(repo_dir)).ok()) {
-    // Catch up with any imports since the segment was written.
-    SCHEMR_RETURN_IF_ERROR(indexer.Refresh(repo).status());
-    if (timing != nullptr) timing->open_seconds = timer.ElapsedSeconds();
-    return indexer;
+  if (!report.persisted.ok()) {
+    std::fprintf(stderr, "# state: not written back: %s\n",
+                 report.persisted.ToString().c_str());
   }
-  timer.Reset();
-  SCHEMR_RETURN_IF_ERROR(indexer.RebuildFromRepository(repo).status());
-  (void)indexer.Save(SegmentPath(repo_dir));
-  if (timing != nullptr) {
-    timing->rebuilt = true;
-    timing->rebuild_seconds = timer.ElapsedSeconds();
-  }
-  return indexer;
 }
 
 int CmdImport(SchemaRepository* repo, int argc, char** argv) {
@@ -263,20 +197,22 @@ int CmdShow(SchemaRepository* repo, int argc, char** argv) {
   return 0;
 }
 
-int CmdIndex(SchemaRepository* repo, const std::string& repo_dir) {
-  Indexer indexer;
-  auto stats = indexer.RebuildFromRepository(*repo);
-  if (!stats.ok()) return Fail(stats.status(), "indexing");
-  Status saved = indexer.Save(SegmentPath(repo_dir));
-  if (!saved.ok()) return Fail(saved, "saving segment");
-  std::printf("indexed %zu schemas (%zu terms) in %.1f ms → %s\n",
-              stats->schemas_indexed, indexer.index().NumTerms(),
-              stats->elapsed_seconds * 1e3, SegmentPath(repo_dir).c_str());
+/// `schemr index <repo>`: Open, which makes the persisted state current.
+int CmdIndex(std::unique_ptr<SchemaRepository> repo,
+             const std::string& repo_dir) {
+  OpenReport report;
+  auto corpus = ServingCorpus::Open(std::move(repo), repo_dir, &report);
+  if (!corpus.ok()) return Fail(corpus.status(), "indexing");
+  PrintOpenReport(report, **corpus);
+  if (!report.persisted.ok()) return Fail(report.persisted, "writing state");
+  std::printf("indexed %zu schemas (%zu terms) → %s\n",
+              (*corpus)->Snapshot()->index->NumDocs(),
+              (*corpus)->Snapshot()->index->NumTerms(), repo_dir.c_str());
   return 0;
 }
 
-int CmdSearch(SchemaRepository* repo, const std::string& repo_dir, int argc,
-              char** argv) {
+int CmdSearch(std::unique_ptr<SchemaRepository> repo,
+              const std::string& repo_dir, int argc, char** argv) {
   std::string keywords;
   std::string fragment;
   bool explain = false;
@@ -303,12 +239,9 @@ int CmdSearch(SchemaRepository* repo, const std::string& repo_dir, int argc,
       keywords += arg;
     }
   }
-  auto indexer = LoadOrBuildIndex(*repo, repo_dir);
-  if (!indexer.ok()) return Fail(indexer.status(), "loading index");
-  auto snapshot =
-      PinRepoSnapshot(*repo, repo_dir, std::move(*indexer), nullptr);
-  if (!snapshot.ok()) return Fail(snapshot.status(), "building catalog");
-  SchemrService service(repo, *std::move(snapshot));
+  auto corpus = ServingCorpus::Open(std::move(repo), repo_dir);
+  if (!corpus.ok()) return Fail(corpus.status(), "opening corpus");
+  SchemrService service(corpus->get());
   // Every CLI search lands in the repo's audit log (inspect with
   // `schemr audit`); failure to open it is not search-fatal.
   (void)service.EnableAudit(AuditDir(repo_dir));
@@ -344,8 +277,8 @@ int CmdSearch(SchemaRepository* repo, const std::string& repo_dir, int argc,
 /// Runs a sample search workload (given keywords, or the names of the
 /// first few schemas when none are given), then dumps the process metrics
 /// registry so phase latencies and index/store counters are non-zero.
-int CmdStats(SchemaRepository* repo, const std::string& repo_dir, int argc,
-             char** argv) {
+int CmdStats(std::unique_ptr<SchemaRepository> repo,
+             const std::string& repo_dir, int argc, char** argv) {
   std::string keywords;
   bool json = false;
   for (int i = 0; i < argc; ++i) {
@@ -357,55 +290,22 @@ int CmdStats(SchemaRepository* repo, const std::string& repo_dir, int argc,
       keywords += arg;
     }
   }
-  IndexLoadTiming timing;
-  auto indexer = LoadOrBuildIndex(*repo, repo_dir, &timing);
-  if (!indexer.ok()) return Fail(indexer.status(), "loading index");
-  // Open-vs-rebuild cost split, as gauges (scraped) and on stderr: the
-  // segment path should be milliseconds; paying a rebuild on every stats
-  // call means the persisted segment is missing or stale.
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry
-      .GetGauge("schemr_index_open_seconds",
-                "Time spent opening the persisted index segment (0 when "
-                "the index was rebuilt instead).")
-      ->Set(timing.open_seconds);
-  registry
-      .GetGauge("schemr_index_rebuild_seconds",
-                "Time spent rebuilding the index from the repository (0 "
-                "when the persisted segment was used).")
-      ->Set(timing.rebuild_seconds);
-  if (timing.rebuilt) {
-    std::fprintf(stderr, "# index: no usable segment, rebuilt in %.1f ms\n",
-                 timing.rebuild_seconds * 1e3);
-  } else {
-    std::fprintf(stderr, "# index: opened persisted segment in %.1f ms\n",
-                 timing.open_seconds * 1e3);
-  }
-  // Signature catalog build/load cost, reported right next to the
-  // index-open line: the two together are the full cost of standing up a
-  // searchable snapshot. Loaded signatures should dominate after the
-  // first run; paying builds every time means signatures.sig is missing
-  // or the corpus churned.
-  CatalogBuildStats catalog_stats;
-  auto snapshot =
-      PinRepoSnapshot(*repo, repo_dir, std::move(*indexer), &catalog_stats);
-  if (!snapshot.ok()) return Fail(snapshot.status(), "building catalog");
-  registry
-      .GetGauge("schemr_signature_catalog_seconds",
-                "Time spent building the match-feature catalog (features "
-                "+ signatures) for the last CLI invocation.")
-      ->Set(catalog_stats.seconds);
-  PrintCatalogLine(catalog_stats, *(*snapshot)->match_features);
-  SchemrService service(repo, *std::move(snapshot));
+  // The two open lines are the full cost of a searchable snapshot; a
+  // rebuild on every call means the persisted files keep going stale.
+  OpenReport report;
+  auto corpus = ServingCorpus::Open(std::move(repo), repo_dir, &report);
+  if (!corpus.ok()) return Fail(corpus.status(), "opening corpus");
+  PrintOpenReport(report, **corpus);
+  SchemrService service(corpus->get());
   (void)service.EnableAudit(AuditDir(repo_dir));
   // A small result cache so the derived cache gauges (hit ratio,
-  // entries, capacity) appear in the dump. The pinned snapshot gives the
-  // cache a stable corpus version to key on, so the sample search below
+  // entries, capacity) appear in the dump. Nothing writes to the corpus,
+  // so the cache keys on a stable version and the sample search below
   // actually exercises it.
   service.EnableResultCache(64);
 
   if (keywords.empty()) {
-    auto summaries = repo->ListAll();
+    auto summaries = (*corpus)->repository()->ListAll();
     if (!summaries.ok()) return Fail(summaries.status(), "listing");
     size_t taken = 0;
     for (const SchemaSummary& s : *summaries) {
@@ -422,7 +322,7 @@ int CmdStats(SchemaRepository* repo, const std::string& repo_dir, int argc,
     std::fprintf(stderr, "# sample search \"%s\": %zu results\n",
                  keywords.c_str(), results->size());
   }
-  (void)repo->GetStoreStats();  // refresh schemr_store_* gauges
+  (void)(*corpus)->repository()->GetStoreStats();  // schemr_store_* gauges
   if (std::shared_ptr<ResultCache> cache = service.engine().result_cache();
       cache != nullptr) {
     const ResultCacheStats cache_stats = cache->Stats();
@@ -700,8 +600,8 @@ int CmdAudit(const std::string& repo_dir, int argc, char** argv) {
   return 0;
 }
 
-int CmdSeed(SchemaRepository* repo, const std::string& repo_dir, int argc,
-            char** argv) {
+int CmdSeed(std::unique_ptr<SchemaRepository> repo,
+            const std::string& repo_dir, int argc, char** argv) {
   CorpusOptions corpus_options;
   corpus_options.num_schemas = 200;
   QueryWorkloadOptions workload_options;
@@ -727,7 +627,7 @@ int CmdSeed(SchemaRepository* repo, const std::string& repo_dir, int argc,
   }
   std::printf("seeded %zu schemas in %.1f ms\n", corpus.size(),
               timer.ElapsedMillis());
-  if (int rc = CmdIndex(repo, repo_dir); rc != 0) return rc;
+  if (int rc = CmdIndex(std::move(repo), repo_dir); rc != 0) return rc;
   if (!workload_path.empty()) {
     workload_options.fragment_prob = 0.3;
     std::vector<WorkloadQuery> queries =
@@ -756,10 +656,8 @@ int CmdReplay(int argc, char** argv) {
   const std::string workload_path = argv[0];
   std::string repo_dir;
   std::string out_path;
-  std::string baseline_path;
   std::string record_path;
   ReplayOptions replay_options;
-  GateOptions gate_options;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--repo" && i + 1 < argc) {
@@ -774,14 +672,8 @@ int CmdReplay(int argc, char** argv) {
       replay_options.force_prefilter = std::strtod(argv[++i], nullptr);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
     } else if (arg == "--record" && i + 1 < argc) {
       record_path = argv[++i];
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      gate_options.latency_tolerance = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--qps-tolerance" && i + 1 < argc) {
-      gate_options.qps_tolerance = std::strtod(argv[++i], nullptr);
     } else {
       return Usage();
     }
@@ -793,17 +685,10 @@ int CmdReplay(int argc, char** argv) {
 
   auto repo = SchemaRepository::Open(repo_dir);
   if (!repo.ok()) return Fail(repo.status(), "opening repository");
-  auto indexer = LoadOrBuildIndex(**repo, repo_dir);
-  if (!indexer.ok()) return Fail(indexer.status(), "loading index");
-
-  // Pin one snapshot for the whole run: the pairing of this index, this
-  // schema view, and this feature catalog is what makes the digests
-  // reproducible.
-  CatalogBuildStats catalog_stats;
-  auto snapshot =
-      PinRepoSnapshot(**repo, repo_dir, std::move(*indexer), &catalog_stats);
-  if (!snapshot.ok()) return Fail(snapshot.status(), "building catalog");
-  PrintCatalogLine(catalog_stats, *(*snapshot)->match_features);
+  OpenReport open_report;
+  auto corpus = ServingCorpus::Open(std::move(*repo), repo_dir, &open_report);
+  if (!corpus.ok()) return Fail(corpus.status(), "opening corpus");
+  PrintOpenReport(open_report, **corpus);
 
   size_t skipped = 0;
   auto workload = LoadWorkload(workload_path, &skipped);
@@ -814,7 +699,10 @@ int CmdReplay(int argc, char** argv) {
                  skipped);
   }
 
-  auto report = ReplayWorkload(*snapshot, *workload, replay_options);
+  // One snapshot for the whole run: the pairing of this index, schema
+  // view and feature catalog is what makes the digests reproducible.
+  auto report =
+      ReplayWorkload((*corpus)->Snapshot(), *workload, replay_options);
   if (!report.ok()) return Fail(report.status(), "replaying");
 
   std::fprintf(stderr,
@@ -854,20 +742,7 @@ int CmdReplay(int argc, char** argv) {
                  record_path.c_str());
   }
 
-  int rc = report->digest_mismatches > 0 ? 1 : 0;
-  if (!baseline_path.empty()) {
-    auto baseline = ReadFile(baseline_path);
-    if (!baseline.ok()) return Fail(baseline.status(), "reading baseline");
-    auto gate = CompareBenchReports(*baseline, json, gate_options);
-    if (!gate.ok()) return Fail(gate.status(), "gating");
-    for (const std::string& violation : gate->violations) {
-      std::fprintf(stderr, "GATE: %s\n", violation.c_str());
-    }
-    if (!gate->pass) rc = 1;
-    std::fprintf(stderr, "# gate vs %s: %s\n", baseline_path.c_str(),
-                 gate->pass ? "PASS" : "FAIL");
-  }
-  return rc;
+  return report->digest_mismatches > 0 ? 1 : 0;
 }
 
 /// `schemr serve <repo>`: brings up the full serving stack — serving
@@ -914,8 +789,10 @@ int CmdServe(const std::string& repo_dir, int argc, char** argv) {
       }
     }
   }
-  auto corpus = ServingCorpus::Create(std::move(*repo));
+  OpenReport report;
+  auto corpus = ServingCorpus::Open(std::move(*repo), repo_dir, &report);
   if (!corpus.ok()) return Fail(corpus.status(), "building serving corpus");
+  PrintOpenReport(report, **corpus);
   SchemrService service(corpus->get());
   (void)service.EnableAudit(AuditDir(repo_dir));
   Status started = service.StartServing(serving);
@@ -1370,15 +1247,21 @@ int Run(int argc, char** argv) {
   if (command == "import") return CmdImport(r, rest_argc, rest);
   if (command == "list") return CmdList(r);
   if (command == "show") return CmdShow(r, rest_argc, rest);
-  if (command == "index") return CmdIndex(r, repo_dir);
-  if (command == "search") return CmdSearch(r, repo_dir, rest_argc, rest);
-  if (command == "stats") return CmdStats(r, repo_dir, rest_argc, rest);
+  if (command == "index") return CmdIndex(std::move(*repo), repo_dir);
+  if (command == "search") {
+    return CmdSearch(std::move(*repo), repo_dir, rest_argc, rest);
+  }
+  if (command == "stats") {
+    return CmdStats(std::move(*repo), repo_dir, rest_argc, rest);
+  }
   if (command == "viz") return CmdViz(r, rest_argc, rest);
   if (command == "export") return CmdExport(r, rest_argc, rest);
   if (command == "comment") return CmdComment(r, rest_argc, rest);
   if (command == "rate") return CmdRate(r, rest_argc, rest);
   if (command == "comments") return CmdComments(r, rest_argc, rest);
-  if (command == "seed") return CmdSeed(r, repo_dir, rest_argc, rest);
+  if (command == "seed") {
+    return CmdSeed(std::move(*repo), repo_dir, rest_argc, rest);
+  }
   return Usage();
 }
 
