@@ -77,7 +77,8 @@ Result<std::unique_ptr<ServingCorpus>> ServingCorpus::Create(
     std::unique_ptr<SchemaRepository> repository) {
   std::unique_ptr<ServingCorpus> corpus(
       new ServingCorpus(std::move(repository)));
-  SCHEMR_RETURN_IF_ERROR(corpus->Reindex());
+  std::lock_guard<std::mutex> lock(corpus->writer_mutex_);
+  SCHEMR_RETURN_IF_ERROR(corpus->RebuildLocked(nullptr, nullptr).status());
   return corpus;
 }
 
@@ -187,10 +188,10 @@ Status ServingCorpus::Update(Schema schema) {
 
 void ServingCorpus::AddFeaturesLocked(const Schema& schema) {
   // Incremental feature build, signed under the df table as of now. (A
-  // full Reindex recomputes every signature under the final df, so
-  // signatures converge on rebuild; they are advisory either way.) New
-  // terms extend the dictionary copy-on-write: published snapshots keep
-  // the dictionary they were published with.
+  // corpus built anew by Create or Open signs every schema under the
+  // final df, so signatures converge on rebuild; they are advisory
+  // either way.) New terms extend the dictionary copy-on-write:
+  // published snapshots keep the dictionary they were published with.
   Timer timer;
   std::shared_ptr<const TermDictionary> terms = df_.terms();
   auto features = BuildSchemaFeatures(schema, FeatureBuildOptions{}, &terms);
@@ -213,11 +214,6 @@ Status ServingCorpus::Remove(SchemaId id) {
   }
   PublishLocked();
   return Status::OK();
-}
-
-Status ServingCorpus::Reindex() {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  return RebuildLocked(nullptr, nullptr).status();
 }
 
 Result<OpenReport> ServingCorpus::RebuildLocked(

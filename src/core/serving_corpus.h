@@ -5,7 +5,7 @@
 // other.
 //
 // Concurrency model (DESIGN.md §9):
-//   - Writers (Ingest/Update/Remove/Reindex) serialize on an internal
+//   - Writers (Ingest/Update/Remove) serialize on an internal
 //     mutex. Each commits durably to the repository first, then mutates
 //     the index copy-on-write, then publishes a fresh CorpusSnapshot by
 //     a pointer swap (AtomicSharedPtr — a micro-mutex held only for the
@@ -109,10 +109,6 @@ class ServingCorpus {
   /// Removes the schema from the repository and the index.
   Status Remove(SchemaId id);
 
-  /// Rebuilds the index and the catalog from the repository's current
-  /// contents and republishes.
-  Status Reindex();
-
   /// The current corpus snapshot (never null; one acquire-load). Hold the
   /// returned pointer for the duration of a search so every phase sees
   /// the same corpus.
@@ -144,7 +140,9 @@ class ServingCorpus {
   /// Full rebuild of the index and the catalog from the repository's
   /// current view, then publication (caller holds writer_mutex_);
   /// replaces features_/df_. Takes over `adopted` instead of indexing the
-  /// view, and signatures from `stored`, when non-null.
+  /// view, and signatures from `stored`, when non-null. Runs only on a
+  /// new corpus (Create, Open), whose published index is the empty
+  /// initial one, so the index clone in VersionedIndex::Apply is free.
   Result<OpenReport> RebuildLocked(InvertedIndex* adopted,
                                    const StoredSignatures* stored);
 
@@ -154,7 +152,7 @@ class ServingCorpus {
 
   std::unique_ptr<SchemaRepository> repository_;
   VersionedIndex index_;
-  /// Serializes Ingest/Update/Remove/Reindex so the repository view and
+  /// Serializes Ingest/Update/Remove so the repository view and
   /// index snapshot composed by PublishLocked always belong together.
   mutable std::mutex writer_mutex_;
   /// Incremental working set behind writer_mutex_; PublishLocked freezes

@@ -1,6 +1,8 @@
 #include "obs/exposition.h"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -154,30 +156,11 @@ bool IsValidLabelName(std::string_view name) {
   return IsValidMetricName(name) && name.find(':') == std::string_view::npos;
 }
 
-/// Parses a sample value: a C double, or the spec's +Inf / -Inf / NaN.
-bool ParseSampleValue(std::string_view token, double* value) {
-  if (token == "+Inf" || token == "Inf") {
-    *value = std::numeric_limits<double>::infinity();
-    return true;
-  }
-  if (token == "-Inf") {
-    *value = -std::numeric_limits<double>::infinity();
-    return true;
-  }
-  if (token == "NaN") {
-    *value = std::numeric_limits<double>::quiet_NaN();
-    return true;
-  }
-  const std::string copy(token);
-  char* end = nullptr;
-  *value = std::strtod(copy.c_str(), &end);
-  return end != nullptr && *end == '\0' && !copy.empty();
-}
-
 /// Parses `{key="value",...}` starting at text[pos] == '{'. Advances
-/// *pos past the closing brace. Stores the `le` label's raw value if
-/// present.
-Status ParseLabels(std::string_view line, size_t* pos, std::string* le) {
+/// *pos past the closing brace. Stores the `le` label's unescaped value
+/// if present, and counts the labels.
+Status ParseLabels(std::string_view line, size_t* pos, std::string* le,
+                   size_t* count) {
   ++*pos;  // consume '{'
   bool first = true;
   while (*pos < line.size() && line[*pos] != '}') {
@@ -232,6 +215,7 @@ Status ParseLabels(std::string_view line, size_t* pos, std::string* le) {
       return Status::InvalidArgument("unterminated label value");
     }
     if (name == "le") *le = value;
+    ++*count;
   }
   if (*pos >= line.size() || line[*pos] != '}') {
     return Status::InvalidArgument("unterminated label set");
@@ -254,8 +238,86 @@ struct FamilyState {
   double count_value = 0.0;
 };
 
-/// Strips a histogram-series suffix: "foo_bucket" -> "foo". Returns the
-/// suffix ("bucket", "sum", "count") or empty.
+}  // namespace
+
+bool ParseSampleValue(std::string_view token, double* value) {
+  if (token == "+Inf" || token == "Inf") {
+    *value = std::numeric_limits<double>::infinity();
+    return true;
+  }
+  if (token == "-Inf") {
+    *value = -std::numeric_limits<double>::infinity();
+    return true;
+  }
+  if (token == "NaN") {
+    *value = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
+  const std::string copy(token);
+  char* end = nullptr;
+  *value = std::strtod(copy.c_str(), &end);
+  return end != nullptr && *end == '\0' && !copy.empty();
+}
+
+Status ParseExpositionSample(std::string_view line,
+                             ExpositionSample* sample) {
+  size_t pos = 0;
+  while (pos < line.size() && line[pos] != '{' && line[pos] != ' ') ++pos;
+  sample->name = line.substr(0, pos);
+  if (!IsValidMetricName(sample->name)) {
+    return Status::InvalidArgument("bad metric name");
+  }
+  sample->le.clear();
+  sample->labels = 0;
+  if (pos < line.size() && line[pos] == '{') {
+    SCHEMR_RETURN_IF_ERROR(
+        ParseLabels(line, &pos, &sample->le, &sample->labels));
+  }
+  if (pos >= line.size() || line[pos] != ' ') {
+    return Status::InvalidArgument("expected ' ' before sample value");
+  }
+  while (pos < line.size() && line[pos] == ' ') ++pos;
+  size_t value_end = pos;
+  while (value_end < line.size() && line[value_end] != ' ') ++value_end;
+  sample->text = line.substr(pos, value_end - pos);
+  if (!ParseSampleValue(sample->text, &sample->value)) {
+    return Status::InvalidArgument("unparsable sample value");
+  }
+  // Anything after the value must be a timestamp (integer milliseconds).
+  pos = value_end;
+  while (pos < line.size() && line[pos] == ' ') ++pos;
+  double timestamp = 0.0;
+  if (pos < line.size() && !ParseSampleValue(line.substr(pos), &timestamp)) {
+    return Status::InvalidArgument("trailing junk after sample value");
+  }
+  return Status::OK();
+}
+
+bool ParseCounterValue(const ExpositionSample& sample, uint64_t* value) {
+  const char* end = sample.text.data() + sample.text.size();
+  const auto [stop, error] = std::from_chars(sample.text.data(), end, *value);
+  if (error == std::errc() && stop == end) return true;
+  const double v = sample.value;
+  if (!(v >= 0.0) || v >= 0x1p64 || v != std::floor(v)) return false;
+  *value = static_cast<uint64_t>(v);
+  return true;
+}
+
+Status UnescapeHelp(std::string_view text, std::string* out) {
+  out->clear();
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '\\') {
+      out->push_back(text[i]);
+      continue;
+    }
+    if (i + 1 >= text.size() || (text[i + 1] != '\\' && text[i + 1] != 'n')) {
+      return Status::InvalidArgument("invalid escape in # HELP text");
+    }
+    out->push_back(text[++i] == 'n' ? '\n' : '\\');
+  }
+  return Status::OK();
+}
+
 std::string_view SplitHistogramSuffix(std::string_view name,
                                       std::string_view* base) {
   for (std::string_view suffix : {"_bucket", "_sum", "_count"}) {
@@ -268,8 +330,6 @@ std::string_view SplitHistogramSuffix(std::string_view name,
   *base = name;
   return {};
 }
-
-}  // namespace
 
 Status CheckPrometheusText(std::string_view text) {
   std::map<std::string, FamilyState> families;
@@ -325,52 +385,23 @@ Status CheckPrometheusText(std::string_view text) {
         if (!IsValidMetricName(name)) {
           return fail("bad metric name in # HELP", line);
         }
-        const std::string_view help =
+        std::string help;
+        Status unescaped = UnescapeHelp(
             sp == std::string_view::npos ? std::string_view{}
-                                         : rest.substr(sp + 1);
-        for (size_t i = 0; i < help.size(); ++i) {
-          if (help[i] != '\\') continue;
-          if (i + 1 >= help.size() ||
-              (help[i + 1] != '\\' && help[i + 1] != 'n')) {
-            return fail("invalid escape in # HELP text", line);
-          }
-          ++i;
-        }
+                                         : rest.substr(sp + 1),
+            &help);
+        if (!unescaped.ok()) return fail(unescaped.message(), line);
       }
       continue;  // other comments are free-form
     }
 
-    // A sample: name[{labels}] value [timestamp]
-    size_t pos = 0;
-    while (pos < line.size() && line[pos] != '{' && line[pos] != ' ') ++pos;
-    const std::string_view name = line.substr(0, pos);
-    if (!IsValidMetricName(name)) {
-      return fail("bad metric name", line);
+    ExpositionSample sample;
+    if (Status parsed = ParseExpositionSample(line, &sample); !parsed.ok()) {
+      return fail(parsed.message(), line);
     }
-    std::string le;
-    if (pos < line.size() && line[pos] == '{') {
-      Status labels = ParseLabels(line, &pos, &le);
-      if (!labels.ok()) return fail(labels.message(), line);
-    }
-    if (pos >= line.size() || line[pos] != ' ') {
-      return fail("expected ' ' before sample value", line);
-    }
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    size_t value_end = pos;
-    while (value_end < line.size() && line[value_end] != ' ') ++value_end;
-    double value = 0.0;
-    if (!ParseSampleValue(line.substr(pos, value_end - pos), &value)) {
-      return fail("unparsable sample value", line);
-    }
-    // Anything after the value must be a timestamp (integer milliseconds).
-    pos = value_end;
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    if (pos < line.size()) {
-      double timestamp = 0.0;
-      if (!ParseSampleValue(line.substr(pos), &timestamp)) {
-        return fail("trailing junk after sample value", line);
-      }
-    }
+    const std::string_view name = sample.name;
+    const std::string& le = sample.le;
+    const double value = sample.value;
 
     // Resolve the family: exact TYPE, else a histogram series suffix.
     std::string_view base = name;
@@ -402,12 +433,10 @@ Status CheckPrometheusText(std::string_view text) {
     family.has_samples = true;
 
     if (family.kind == "counter") {
-      if (!(value >= 0.0) || value != value ||
-          value == std::numeric_limits<double>::infinity()) {
-        return fail("counter sample must be finite and non-negative", line);
-      }
-      if (value != static_cast<double>(static_cast<uint64_t>(value))) {
-        return fail("counter sample must be integral", line);
+      uint64_t count = 0;
+      if (!ParseCounterValue(sample, &count)) {
+        return fail("counter sample must be a finite, non-negative integer",
+                    line);
       }
     } else if (family.kind == "histogram") {
       if (suffix == "bucket") {

@@ -51,6 +51,38 @@ std::string ToJson(const MetricsRegistry& registry);
 /// check (`schemr checkmetrics`) and the exposition tests.
 Status CheckPrometheusText(std::string_view text);
 
+// --- Reading the text format ------------------------------------------------
+// The checker's own readers, shared with the federation parser
+// (obs/federation.h) so both read a scrape the same way.
+
+/// One sample line: `name[{labels}] value [timestamp]`.
+struct ExpositionSample {
+  std::string_view name;
+  std::string le;         ///< the `le` label's unescaped value; empty if none
+  size_t labels = 0;      ///< how many labels the line carries
+  std::string_view text;  ///< the value as written
+  double value = 0.0;     ///< `text` parsed; +Inf/-Inf/NaN allowed
+};
+
+/// Parses one sample line: a valid name, well-formed labels, a number
+/// and an optional timestamp. InvalidArgument names the defect.
+Status ParseExpositionSample(std::string_view line, ExpositionSample* sample);
+
+/// A C double, or the spec's +Inf / -Inf / NaN.
+bool ParseSampleValue(std::string_view token, double* value);
+
+/// A counter's value: finite, non-negative and integral (this registry's
+/// counters are uint64); exact for plain digits past 2^53.
+bool ParseCounterValue(const ExpositionSample& sample, uint64_t* value);
+
+/// Undoes `# HELP` escaping (`\\` and `\n`); InvalidArgument on any other.
+Status UnescapeHelp(std::string_view text, std::string* out);
+
+/// "foo_bucket" -> "foo", returning "bucket" (or "sum", "count"); other
+/// names come back whole with an empty suffix.
+std::string_view SplitHistogramSuffix(std::string_view name,
+                                      std::string_view* base);
+
 }  // namespace schemr
 
 #endif  // SCHEMR_OBS_EXPOSITION_H_

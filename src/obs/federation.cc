@@ -1,9 +1,10 @@
 #include "obs/federation.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
+
+#include "obs/exposition.h"
 
 namespace schemr {
 
@@ -24,37 +25,6 @@ struct HistogramBuild {
   uint64_t count = 0;
 };
 
-/// Splits "name_bucket" / "name_sum" / "name_count" into (base, suffix);
-/// returns an empty suffix for plain sample names.
-std::string_view HistogramSuffix(std::string_view name,
-                                 std::string_view* base) {
-  for (std::string_view suffix : {"_bucket", "_sum", "_count"}) {
-    if (name.size() > suffix.size() &&
-        name.substr(name.size() - suffix.size()) == suffix) {
-      *base = name.substr(0, name.size() - suffix.size());
-      return suffix;
-    }
-  }
-  *base = name;
-  return {};
-}
-
-bool ParseUint64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const std::string copy(text);
-  *out = std::strtoull(copy.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseDouble(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const std::string copy(text);
-  *out = std::strtod(copy.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
 }  // namespace
 
 Result<std::vector<MetricSnapshot>> ParsePrometheusSnapshots(
@@ -73,7 +43,7 @@ Result<std::vector<MetricSnapshot>> ParsePrometheusSnapshots(
         eol == std::string_view::npos ? text : text.substr(0, eol);
     text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
     if (line.empty()) continue;
-    const auto bad = [line_no](const char* what) {
+    const auto bad = [line_no](const std::string& what) {
       return Status::InvalidArgument("scrape line " + std::to_string(line_no) +
                                      ": " + what);
     };
@@ -90,7 +60,8 @@ Result<std::vector<MetricSnapshot>> ParsePrometheusSnapshots(
       const std::string name(rest.substr(0, space));
       std::string_view value = rest.substr(space + 1);
       if (is_help) {
-        helps[name].assign(value);
+        Status unescaped = UnescapeHelp(value, &helps[name]);
+        if (!unescaped.ok()) return bad(unescaped.message());
         continue;
       }
       MetricKind kind;
@@ -109,29 +80,17 @@ Result<std::vector<MetricSnapshot>> ParsePrometheusSnapshots(
       continue;
     }
 
-    // Sample: name[{le="bound"}] value
-    size_t name_end = line.find_first_of(" {");
-    if (name_end == std::string_view::npos || name_end == 0) {
-      return bad("malformed sample");
+    // Sample: name[{le="bound"}] value, read as the checker reads it.
+    ExpositionSample sample;
+    if (Status parsed = ParseExpositionSample(line, &sample); !parsed.ok()) {
+      return bad(parsed.message());
     }
-    const std::string_view sample_name = line.substr(0, name_end);
+    if (sample.labels > (sample.le.empty() ? 0 : 1)) {
+      continue;  // labeled series outside the histogram dialect: not ours
+    }
+    const std::string_view sample_name = sample.name;
     std::string_view base;
-    const std::string_view suffix = HistogramSuffix(sample_name, &base);
-    std::string le;
-    std::string_view rest = line.substr(name_end);
-    if (!rest.empty() && rest[0] == '{') {
-      const size_t close = rest.find('}');
-      if (close == std::string_view::npos) return bad("unterminated labels");
-      std::string_view labels = rest.substr(1, close - 1);
-      rest.remove_prefix(close + 1);
-      if (labels.rfind("le=\"", 0) != 0 || labels.back() != '"') {
-        // Labeled series outside the histogram dialect: not ours; skip.
-        continue;
-      }
-      le.assign(labels.substr(4, labels.size() - 5));
-    }
-    if (rest.empty() || rest[0] != ' ') return bad("missing sample value");
-    std::string_view value = rest.substr(1);
+    const std::string_view suffix = SplitHistogramSuffix(sample_name, &base);
 
     const std::string base_name(base);
     const auto kind_it = kinds.find(base_name);
@@ -143,34 +102,32 @@ Result<std::vector<MetricSnapshot>> ParsePrometheusSnapshots(
       if (plain_it == kinds.end()) continue;  // unannounced: skip
       if (plain_it->second == MetricKind::kCounter) {
         uint64_t v = 0;
-        if (!ParseUint64(value, &v)) return bad("bad counter value");
+        if (!ParseCounterValue(sample, &v)) return bad("bad counter value");
         counters[std::string(sample_name)] = v;
       } else if (plain_it->second == MetricKind::kGauge) {
-        double v = 0.0;
-        if (!ParseDouble(value, &v)) return bad("bad gauge value");
-        gauges[std::string(sample_name)] = v;
+        gauges[std::string(sample_name)] = sample.value;
       }
       continue;
     }
 
     HistogramBuild& build = histograms[base_name];
-    if (suffix == "_bucket") {
+    if (suffix == "bucket") {
       uint64_t v = 0;
-      if (!ParseUint64(value, &v)) return bad("bad bucket value");
-      if (le == "+Inf") {
+      if (!ParseCounterValue(sample, &v)) return bad("bad bucket value");
+      if (sample.le == "+Inf") {
         build.saw_inf = true;
       } else {
         double bound = 0.0;
-        if (!ParseDouble(le, &bound)) return bad("bad le bound");
+        if (!ParseSampleValue(sample.le, &bound)) return bad("bad le bound");
         if (build.saw_inf) return bad("bucket after +Inf");
         build.bounds.push_back(bound);
       }
       build.cumulative.push_back(v);
-    } else if (suffix == "_sum") {
-      if (!ParseDouble(value, &build.sum)) return bad("bad histogram sum");
+    } else if (suffix == "sum") {
+      build.sum = sample.value;
       build.saw_sum = true;
     } else {
-      if (!ParseUint64(value, &build.count)) {
+      if (!ParseCounterValue(sample, &build.count)) {
         return bad("bad histogram count");
       }
       build.saw_count = true;
@@ -205,6 +162,12 @@ Result<std::vector<MetricSnapshot>> ParsePrometheusSnapshots(
             build.cumulative.size() != build.bounds.size() + 1) {
           return Status::InvalidArgument("incomplete histogram family " +
                                          name);
+        }
+        // The checker's rule too: a family whose _count disagrees with
+        // its +Inf bucket would re-emit as an exposition it rejects.
+        if (build.count != build.cumulative.back()) {
+          return Status::InvalidArgument(
+              "histogram " + name + " _count disagrees with its +Inf bucket");
         }
         m.histogram.bounds = build.bounds;
         m.histogram.buckets.resize(build.cumulative.size());

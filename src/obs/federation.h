@@ -35,10 +35,13 @@ namespace schemr {
 
 /// Parses one Prometheus text-exposition body (the dialect
 /// ToPrometheusText emits: unlabeled counters/gauges, histograms with a
-/// single `le` label) back into snapshot structs, name-sorted.
-/// Histogram buckets are de-cumulated; families announced by `# TYPE`
-/// but missing samples are dropped. InvalidArgument on structurally
-/// unparseable input.
+/// single `le` label) back into snapshot structs, name-sorted. Lines are
+/// read with CheckPrometheusText's own readers (obs/exposition.h), and
+/// `# HELP` text is unescaped. Histogram buckets are de-cumulated;
+/// families announced by `# TYPE` but missing samples are dropped, as
+/// are unannounced and otherwise-labeled series. InvalidArgument on
+/// unparseable lines, a signed or fractional counter, bucket or
+/// `_count`, and a `_count` that disagrees with its `+Inf` bucket.
 Result<std::vector<MetricsRegistry::MetricSnapshot>> ParsePrometheusSnapshots(
     std::string_view text);
 

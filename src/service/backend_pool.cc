@@ -216,9 +216,10 @@ void BackendPool::ProbeBackend(size_t id) {
   bool alive = false;
   bool ready = false;
   if (FaultInjector::Global().Check("coord/probe/fail") == 0) {
+    constexpr double kProbeTimeoutSeconds = 1.0;
     HttpCallOptions probe;
     probe.method = "GET";
-    probe.attempt_timeout_seconds = options_.probe_timeout_seconds;
+    probe.attempt_timeout_seconds = kProbeTimeoutSeconds;
     auto reply = HttpCall(config.host, config.introspection_port, "/readyz",
                           probe);
     if (reply.ok()) {
@@ -246,10 +247,12 @@ void BackendPool::ProbeNow() {
 }
 
 void BackendPool::ProbeLoop() {
+  // Probe cadence: each cycle GETs every backend's /readyz.
+  constexpr double kProbeIntervalSeconds = 0.25;
   while (probing_.load(std::memory_order_acquire)) {
     ProbeNow();
     // Sleep in short ticks so Stop() returns promptly.
-    double remaining = options_.probe_interval_seconds;
+    double remaining = kProbeIntervalSeconds;
     while (remaining > 0.0 && probing_.load(std::memory_order_acquire)) {
       const double tick = std::min(remaining, 0.02);
       std::this_thread::sleep_for(std::chrono::duration<double>(tick));

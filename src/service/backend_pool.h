@@ -66,9 +66,6 @@ enum class BreakerState {
 const char* BreakerStateName(BreakerState state);
 
 struct BackendPoolOptions {
-  /// Probe cadence. Each cycle GETs every backend's /readyz.
-  double probe_interval_seconds = 0.25;
-  double probe_timeout_seconds = 1.0;
   /// Consecutive passive failures that trip the breaker open.
   int failure_threshold = 3;
   /// Open → half-open after this long without traffic.

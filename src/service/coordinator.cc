@@ -334,7 +334,9 @@ HttpResponse Coordinator::ForwardSearchInternal(
   std::vector<int> tried;
   HttpAttemptResult last_refusal;
   bool have_refusal = false;
-  const int budget = 1 + std::max(0, options_.max_failovers);
+  // The failover budget: two more backends after the first pick.
+  constexpr int kMaxFailovers = 2;
+  const int budget = 1 + kMaxFailovers;
   for (int attempt = 0; attempt < budget; ++attempt) {
     if (deadline_ms > 0.0 && timer.ElapsedMillis() >= deadline_ms) {
       // The client's budget is gone; answering anything else now is
@@ -417,11 +419,13 @@ std::vector<MetricsRegistry::MetricSnapshot> Coordinator::FleetMergedSnapshots(
   std::vector<std::vector<MetricsRegistry::MetricSnapshot>> scrapes;
   for (const BackendSnapshot& backend : pool_->Snapshot()) {
     if (!backend.ready || backend.introspection_port <= 0) continue;
-    // A replica that dies between the readiness probe and this scrape is
-    // skipped — federation degrades to the replicas that answered.
+    // A replica that dies between the readiness probe and this scrape, or
+    // cannot answer within the per-replica budget, is skipped —
+    // federation degrades to the replicas that answered.
+    constexpr double kScrapeTimeoutSeconds = 1.0;
     Result<std::string> body =
         HttpGet(backend.host, backend.introspection_port, "/metrics",
-                options_.scrape_timeout_seconds);
+                kScrapeTimeoutSeconds);
     if (!body.ok()) continue;
     Result<std::vector<MetricsRegistry::MetricSnapshot>> parsed =
         ParsePrometheusSnapshots(*body);

@@ -56,8 +56,6 @@ struct CoordinatorOptions {
   /// Start). Handler threads bound the coordinator's own concurrency.
   HttpServerOptions http;
   BackendPoolOptions pool;
-  /// Additional backends tried after the first pick (failover budget).
-  int max_failovers = 2;
   /// Per-attempt wall-clock budget against a backend (further clamped
   /// by the request's remaining deadline when one is set).
   double attempt_timeout_seconds = 5.0;
@@ -67,10 +65,6 @@ struct CoordinatorOptions {
   /// /tracez; DESIGN.md §15). Multi-hop and non-200 requests are always
   /// retained; healthy single-hop requests sample 1-in-N.
   TraceRetentionOptions trace_retention;
-  /// Per-replica budget for federation scrapes (/metrics merge mode and
-  /// the fleet.* /statusz aggregates). A replica that cannot answer its
-  /// /metrics within this window is skipped, not waited for.
-  double scrape_timeout_seconds = 1.0;
 };
 
 class Coordinator {

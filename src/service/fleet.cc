@@ -20,6 +20,9 @@ namespace schemr {
 
 namespace {
 
+/// Budget for one replica to print its ports and answer /readyz.
+constexpr double kReadyTimeoutSeconds = 30.0;
+
 /// Parses "introspection: http://127.0.0.1:PORT ..." and
 /// "search: http://127.0.0.1:PORT/search" from a replica's stdout.
 bool ParsePortLine(const std::string& line, const char* prefix, int* port) {
@@ -39,7 +42,6 @@ Fleet::Fleet(FleetOptions options, CoordinatorOptions coordinator)
 Fleet::~Fleet() { Shutdown(); }
 
 std::string Fleet::ReplicaRepoDir(int id) const {
-  if (!options_.copy_repo) return options_.repo_dir;
   return options_.repo_dir + ".replica" + std::to_string(id);
 }
 
@@ -63,7 +65,8 @@ Result<Fleet::Replica> Fleet::Spawn(int id, const std::string& repo_dir) {
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);
     const std::string workers = std::to_string(options_.serve_workers);
-    const std::string cache = std::to_string(options_.serve_cache);
+    constexpr size_t kServeCacheEntries = 256;
+    const std::string cache = std::to_string(kServeCacheEntries);
     const std::string sample_every =
         std::to_string(options_.serve_sample_every);
     std::vector<const char*> argv = {options_.binary_path.c_str(),
@@ -102,7 +105,7 @@ Result<Fleet::Replica> Fleet::Spawn(int id, const std::string& repo_dir) {
 
   std::string buffered;
   const Timer timer;
-  while (timer.ElapsedSeconds() < options_.ready_timeout_seconds) {
+  while (timer.ElapsedSeconds() < kReadyTimeoutSeconds) {
     struct pollfd pfd = {pipe_fds[0], POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
     if (ready > 0) {
@@ -139,10 +142,8 @@ Result<Fleet::Replica> Fleet::Spawn(int id, const std::string& repo_dir) {
   (void)::waitpid(pid, nullptr, 0);
   ::close(pipe_fds[0]);
   return Status::Unavailable("replica " + std::to_string(id) +
-                                  " did not report its ports within " +
-                                  std::to_string(
-                                      options_.ready_timeout_seconds) +
-                                  "s");
+                             " did not report its ports within " +
+                             std::to_string(kReadyTimeoutSeconds) + "s");
 }
 
 Status Fleet::Start() {
@@ -158,22 +159,15 @@ Status Fleet::Start() {
   std::vector<Replica> replicas;
   for (int i = 0; i < options_.replicas; ++i) {
     const std::string dir = ReplicaRepoDir(i);
-    if (options_.copy_repo) {
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-      std::filesystem::copy(options_.repo_dir, dir,
-                            std::filesystem::copy_options::recursive, ec);
-      if (ec) {
-        for (Replica& r : replicas) {
-          ::kill(r.pid, SIGKILL);
-          (void)::waitpid(r.pid, nullptr, 0);
-          ::close(r.stdout_fd);
-        }
-        return Status::IOError("copying repo for replica " +
-                               std::to_string(i) + ": " + ec.message());
-      }
-    }
-    Result<Replica> spawned = Spawn(i, dir);
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    std::filesystem::copy(options_.repo_dir, dir,
+                          std::filesystem::copy_options::recursive, ec);
+    Result<Replica> spawned =
+        ec ? Result<Replica>(Status::IOError("copying repo for replica " +
+                                             std::to_string(i) + ": " +
+                                             ec.message()))
+           : Spawn(i, dir);
     if (!spawned.ok()) {
       for (Replica& r : replicas) {
         ::kill(r.pid, SIGKILL);
@@ -194,7 +188,7 @@ Status Fleet::Start() {
   Status started = coordinator_->Start();
   if (!started.ok()) return started;
   for (int i = 0; i < options_.replicas; ++i) {
-    Status ready = WaitRoutable(i, options_.ready_timeout_seconds);
+    Status ready = WaitRoutable(i, kReadyTimeoutSeconds);
     if (!ready.ok()) return ready;
   }
   return Status::OK();
@@ -298,7 +292,7 @@ Status Fleet::RollingRestart() {
     // 1. Stop routing to it (in-flight requests finish normally).
     pool.SetDraining(i, true);
     // 2+3. SIGINT and wait for the drain to complete.
-    StopReplica(i, options_.ready_timeout_seconds);
+    StopReplica(i, kReadyTimeoutSeconds);
     // 4. Respawn over the same repo copy and re-point the pool slot.
     Status restarted = RestartReplica(i);
     if (!restarted.ok()) {
@@ -308,7 +302,7 @@ Status Fleet::RollingRestart() {
     // 5. Only move to the next replica once this one is back: that is
     // the N−1 invariant.
     pool.SetDraining(i, false);
-    Status ready = WaitRoutable(i, options_.ready_timeout_seconds);
+    Status ready = WaitRoutable(i, kReadyTimeoutSeconds);
     if (!ready.ok()) return ready;
   }
   return Status::OK();
@@ -412,11 +406,9 @@ void Fleet::Shutdown() {
     }
     if (r.stdout_fd >= 0) ::close(r.stdout_fd);
   }
-  if (options_.copy_repo && options_.cleanup_copies) {
-    for (int i = 0; i < options_.replicas; ++i) {
-      std::error_code ec;
-      std::filesystem::remove_all(ReplicaRepoDir(i), ec);
-    }
+  for (int i = 0; i < options_.replicas; ++i) {
+    std::error_code ec;
+    std::filesystem::remove_all(ReplicaRepoDir(i), ec);
   }
 }
 

@@ -51,17 +51,10 @@ struct FleetOptions {
   std::string repo_dir;
   int replicas = 3;
   size_t serve_workers = 2;
-  size_t serve_cache = 256;
   /// Replica trace sampling rate (`schemr serve --sample-every`); 0
   /// keeps the serve default. Chaos/join tests pin 1 so every request
   /// carries a joinable replica-side trace.
   uint32_t serve_sample_every = 0;
-  /// Budget for one replica to print its ports and answer /readyz.
-  double ready_timeout_seconds = 30.0;
-  /// Copy the repo per replica (default) or share it read-only.
-  bool copy_repo = true;
-  /// Remove the per-replica copies on Shutdown.
-  bool cleanup_copies = true;
 };
 
 class Fleet {

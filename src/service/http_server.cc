@@ -289,8 +289,10 @@ Status HttpServer::Start() {
                            std::to_string(options_.port) + ": " +
                            std::strerror(err));
   }
-  if (::listen(fd, static_cast<int>(options_.max_pending_connections) + 16) !=
-      0) {
+  // Accepted connections waiting for a handler beyond this are answered
+  // 503 by the acceptor itself.
+  constexpr size_t kMaxPendingConnections = 16;
+  if (::listen(fd, static_cast<int>(kMaxPendingConnections) + 16) != 0) {
     const int err = errno;
     ::close(fd);
     return Status::IOError(std::string("http listen() failed: ") +
@@ -305,7 +307,7 @@ Status HttpServer::Start() {
 
   BoundedExecutor::Options pool;
   pool.num_workers = std::max<size_t>(1, options_.handler_threads);
-  pool.queue_capacity = std::max<size_t>(1, options_.max_pending_connections);
+  pool.queue_capacity = kMaxPendingConnections;
   handlers_ = std::make_unique<BoundedExecutor>(pool);
 
   listen_fd_ = fd;
@@ -867,8 +869,18 @@ HttpAttemptResult HttpAttempt(const std::string& host, int port,
 Result<HttpReply> HttpCall(const std::string& host, int port,
                            const std::string& path,
                            const HttpCallOptions& options) {
+  // A 503's Retry-After floor is honored up to this cap, so a hostile or
+  // confused server cannot park the client for minutes.
+  constexpr double kMaxRetryAfterSeconds = 5.0;
+  constexpr double kBackoffMaxMs = 2000.0;
   uint64_t jitter_state = options.jitter_seed;
   const int attempts = std::max(1, options.max_attempts);
+  const auto backoff_ms = [&](int attempt) {
+    return std::min(options.backoff_base_ms *
+                        static_cast<double>(1ull << (attempt - 1)),
+                    kBackoffMaxMs) *
+           JitterFactor(&jitter_state);
+  };
   const auto sleep_ms = [](double ms) {
     ClientMetrics::Get().backoff_ms->Increment(
         static_cast<uint64_t>(std::max(ms, 0.0)));
@@ -886,18 +898,11 @@ Result<HttpReply> HttpCall(const std::string& host, int port,
           result.reply.headers.count("retry-after") != 0;
       if (!retryable_503 || attempt == attempts) return result.reply;
       // The server said "come back later": honor its hint, floored by our
-      // own backoff curve and capped (max_retry_after_seconds) so a
-      // misbehaving backend cannot park the client for minutes.
+      // own backoff curve and capped.
       double retry_after_s =
           std::atof(result.reply.headers.at("retry-after").c_str());
-      retry_after_s = std::clamp(retry_after_s, 0.0,
-                                 options.max_retry_after_seconds);
-      const double backoff_ms =
-          std::min(options.backoff_base_ms *
-                       static_cast<double>(1ull << (attempt - 1)),
-                   options.backoff_max_ms) *
-          JitterFactor(&jitter_state);
-      sleep_ms(std::max(retry_after_s * 1e3, backoff_ms));
+      retry_after_s = std::clamp(retry_after_s, 0.0, kMaxRetryAfterSeconds);
+      sleep_ms(std::max(retry_after_s * 1e3, backoff_ms(attempt)));
       last_error = "503 retry-after";
       continue;
     }
@@ -910,12 +915,7 @@ Result<HttpReply> HttpCall(const std::string& host, int port,
                              std::to_string(attempt) + "/" +
                              std::to_string(attempts) + ")");
     }
-    const double backoff_ms =
-        std::min(options.backoff_base_ms *
-                     static_cast<double>(1ull << (attempt - 1)),
-                 options.backoff_max_ms) *
-        JitterFactor(&jitter_state);
-    sleep_ms(backoff_ms);
+    sleep_ms(backoff_ms(attempt));
   }
   return Status::IOError(last_error.empty() ? "http call failed" : last_error);
 }

@@ -92,9 +92,6 @@ struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
   /// Handler pool size: connections served concurrently.
   size_t handler_threads = 2;
-  /// Accepted connections waiting for a handler beyond this are answered
-  /// 503 by the acceptor itself.
-  size_t max_pending_connections = 16;
   /// Hard cap on accepted connections alive at once (queued + in
   /// handlers). Beyond it the acceptor sheds inline with 503 Retry-After.
   size_t max_connections = 128;
@@ -163,7 +160,7 @@ struct ParsedResponseHead {
   int status = 0;  ///< 100..599 on kComplete
   /// Header fields, names lowercased, values trimmed. Later duplicates
   /// overwrite earlier ones (a duplicate Retry-After last-wins and is
-  /// still clamped by HttpCallOptions::max_retry_after_seconds), except
+  /// still clamped by HttpCall's 5 s retry-after cap), except
   /// Content-Length, where a disagreeing duplicate is kMalformed — the
   /// same smuggling defense the request parser applies.
   std::map<std::string, std::string> headers;
@@ -298,15 +295,11 @@ struct HttpCallOptions {
   double attempt_timeout_seconds = 5.0;
   /// Total attempts (1 = never retry).
   int max_attempts = 1;
-  /// Backoff before retry k (1-based): min(base * 2^(k-1), max), scaled
+  /// Backoff before retry k (1-based): min(base * 2^(k-1), 2 s), scaled
   /// by a deterministic jitter in [0.5, 1.0].
   double backoff_base_ms = 50.0;
-  double backoff_max_ms = 2000.0;
   /// Seed for the jitter stream (same seed → same backoff schedule).
   uint64_t jitter_seed = 1;
-  /// A 503's Retry-After floor is honored up to this many seconds (a
-  /// hostile or confused server cannot park the client for minutes).
-  double max_retry_after_seconds = 5.0;
 };
 
 /// One HTTP exchange's outcome, classified for the retry/failover

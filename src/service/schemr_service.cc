@@ -68,10 +68,6 @@ class EndpointScope {
     if (!result.ok()) failed_ = true;
     return result;
   }
-  const Status& Check(const Status& status) {
-    if (!status.ok()) failed_ = true;
-    return status;
-  }
 
  private:
   const EndpointMetrics& metrics_;
@@ -157,6 +153,14 @@ AuditOutcome ShedOutcome(ShedReason reason) {
   return AuditOutcome::kShedDrain;
 }
 
+/// A pipeline run's outcome byte, from the engine's one degradation
+/// classifier (SearchStats::degraded).
+AuditOutcome RunOutcome(const Result<std::vector<SearchResult>>& results,
+                        const SearchStats& stats) {
+  if (!results.ok()) return AuditOutcome::kError;
+  return stats.degraded ? AuditOutcome::kDegraded : AuditOutcome::kOk;
+}
+
 /// One windowed-view sub-object ("window_1m": {...}) distilled to the
 /// handful of series an operator watches.
 void AppendWindowJson(std::string* out, const char* key,
@@ -181,21 +185,6 @@ void AppendWindowJson(std::string* out, const char* key,
           shed != nullptr ? shed->rate_per_second : 0.0);
   out->push_back('}');
 }
-
-struct ServingMetrics {
-  Gauge* inflight;
-
-  static const ServingMetrics& Get() {
-    static const ServingMetrics* metrics = [] {
-      return new ServingMetrics{
-          MetricsRegistry::Global().GetGauge(
-              "schemr_requests_inflight",
-              "Admitted search requests currently executing or queued."),
-      };
-    }();
-    return *metrics;
-  }
-};
 
 }  // namespace
 
@@ -231,77 +220,53 @@ Status SchemrService::ValidateRequest(const SearchRequest& request) const {
   return Status::OK();
 }
 
+SchemrService::SearchRun SchemrService::RunSearch(
+    const SearchRequest& request, SearchEngineOptions options) const {
+  SearchRun run;
+  if (Status valid = ValidateRequest(request); !valid.ok()) {
+    run.results = std::move(valid);
+    return run;
+  }
+  auto parsed = ParseQuery(request.keywords, request.fragment);
+  if (!parsed.ok()) {
+    run.results = parsed.status();
+    return run;
+  }
+  run.query = *std::move(parsed);
+  SearchStats* caller_stats = options.stats;
+  options = WithRequest(request, std::move(options));
+  options.stats = &run.stats;
+  run.results = engine_.Search(run.query, options);
+  if (caller_stats != nullptr) *caller_stats = run.stats;
+  return run;
+}
+
 Result<std::vector<SearchResult>> SchemrService::Search(
     const SearchRequest& request,
     const SearchEngineOptions& engine_options) const {
   static const EndpointMetrics metrics = MakeEndpoint("search");
   EndpointScope scope(metrics);
-  Status valid = ValidateRequest(request);
-  if (!scope.Check(valid).ok()) return valid;
-  auto parsed = ParseQuery(request.keywords, request.fragment);
-  if (!scope.Check(parsed).ok()) return parsed.status();
-  std::shared_ptr<AuditLog> log = audit();
-  SearchEngineOptions options = WithRequest(request, engine_options);
-  SearchStats stats;
-  if (log != nullptr && options.stats == nullptr) options.stats = &stats;
-  const Timer handle_timer;
-  auto results = engine_.Search(*parsed, options);
-  scope.Check(results);
-  if (log != nullptr) {
-    const SearchStats& observed =
-        options.stats != nullptr ? *options.stats : stats;
-    AuditRecord record;
-    record.timestamp_micros = NowMicros();
-    record.fingerprint = FingerprintQuery(*parsed);
-    record.outcome = !results.ok() ? AuditOutcome::kError
-                     : observed.degraded ? AuditOutcome::kDegraded
-                                         : AuditOutcome::kOk;
-    record.total_micros = static_cast<uint64_t>(handle_timer.ElapsedMicros());
-    record.phase1_micros =
-        static_cast<uint64_t>(observed.phase1_seconds * 1e6);
-    record.phase2_micros =
-        static_cast<uint64_t>(observed.phase2_seconds * 1e6);
-    record.phase3_micros =
-        static_cast<uint64_t>(observed.phase3_seconds * 1e6);
-    record.result_digest = results.ok() ? DigestResults(*results) : 0;
-    record.result_count =
-        results.ok() ? static_cast<uint32_t>(results->size()) : 0;
-    record.top_k = static_cast<uint32_t>(request.top_k);
-    record.candidate_pool = static_cast<uint32_t>(request.candidate_pool);
-    record.coarse_only_candidates =
-        static_cast<uint32_t>(observed.coarse_only_candidates);
-    record.dropped_matchers =
-        static_cast<uint32_t>(observed.dropped_matchers.size());
-    record.deadline_hit = observed.deadline_hit;
-    record.cache_hit = observed.cache_hit;
-    record.keywords = request.keywords;
-    record.fragment = request.fragment;
-    log->Record(std::move(record));
-  }
-  return results;
+  const Timer timer;
+  SearchRun run = RunSearch(request, engine_options);
+  scope.Check(run.results);
+  Record(request, RunOutcome(run.results, run.stats), 0.0, &run,
+         timer.ElapsedSeconds());
+  return std::move(run.results);
 }
 
 Result<std::string> SchemrService::SearchXml(
     const SearchRequest& request,
     const SearchEngineOptions& engine_options) const {
-  return SearchXmlInternal(request, engine_options, nullptr, nullptr);
+  SearchRun run;
+  return SearchXmlInternal(request, engine_options, nullptr, &run);
 }
 
 Result<std::string> SchemrService::SearchXmlInternal(
-    const SearchRequest& request, const SearchEngineOptions& engine_options,
-    SearchAuditInfo* audit, SearchTrace* sample_trace) const {
+    const SearchRequest& request, SearchEngineOptions options,
+    SearchTrace* sample_trace, SearchRun* run) const {
   static const EndpointMetrics metrics = MakeEndpoint("search_xml");
   EndpointScope scope(metrics);
-  Status valid = ValidateRequest(request);
-  if (!scope.Check(valid).ok()) return valid;
-  auto parsed = ParseQuery(request.keywords, request.fragment);
-  if (!scope.Check(parsed).ok()) return parsed.status();
-  const QueryGraph& query = *parsed;
-  if (audit != nullptr) audit->fingerprint = FingerprintQuery(query);
-
   SearchTrace trace;
-  SearchStats stats;
-  SearchEngineOptions options = WithRequest(request, engine_options);
   if (request.explain) {
     options.trace = &trace;
   } else if (sample_trace != nullptr) {
@@ -312,19 +277,13 @@ Result<std::string> SchemrService::SearchXmlInternal(
     // sampled trace show the real pipeline, not a cache hit.)
     options.trace = sample_trace;
   }
-  options.stats = &stats;
-  auto searched = engine_.Search(query, options);
-  if (!scope.Check(searched).ok()) return searched.status();
-  const std::vector<SearchResult>& results = *searched;
-  if (audit != nullptr) {
-    audit->filled = true;
-    audit->digest = DigestResults(results);
-    audit->result_count = static_cast<uint32_t>(results.size());
-    audit->stats = stats;
-  }
+  *run = RunSearch(request, std::move(options));
+  if (!scope.Check(run->results).ok()) return run->results.status();
+  const std::vector<SearchResult>& results = *run->results;
+  const SearchStats& stats = run->stats;
 
   XmlWriter xml;
-  xml.Open("results").Attribute("query", query.ToString());
+  xml.Open("results").Attribute("query", run->query.ToString());
   xml.Attribute("count", static_cast<long long>(results.size()));
   // Absent on healthy responses so those stay byte-identical.
   if (stats.degraded) xml.Attribute("degraded", "true");
@@ -484,47 +443,30 @@ Status SchemrService::StartServing(ServingOptions options) {
     iopts.port = options.introspection_port;
     iopts.max_body_bytes = 0;  // introspection requests carry no body
     introspection_ = std::make_unique<HttpServer>(iopts);
-    introspection_->Route("GET", "/metrics", [this](const HttpRequest&) {
-      HttpResponse response;
-      response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      response.body = MetricsText();
-      return response;
-    });
-    introspection_->Route("GET", "/healthz", [this](const HttpRequest&) {
-      HttpResponse response;
-      response.content_type = "application/json";
-      response.body = HealthzJson(&response.status);
-      return response;
-    });
     // Liveness and readiness are different questions: /healthz answers
     // "is the process alive and sane", /readyz answers "should a load
     // balancer route here". The fleet coordinator probes /readyz, so a
     // draining replica ("dying") stops receiving traffic while a dead
     // one ("dead") is distinguished by the connect failure itself.
-    introspection_->Route("GET", "/readyz", [this](const HttpRequest&) {
-      HttpResponse response;
-      response.content_type = "application/json";
-      response.body = ReadyzJson(&response.status);
-      return response;
-    });
-    introspection_->Route("GET", "/statusz", [this](const HttpRequest&) {
-      HttpResponse response;
-      response.content_type = "application/json";
-      response.body = StatuszJson();
-      return response;
-    });
-    introspection_->Route("GET", "/tracez", [this](const HttpRequest&) {
-      HttpResponse response;
-      response.content_type = "application/json";
-      response.body = TracezJson();
-      return response;
-    });
-    introspection_->Route("GET", "/slowz", [this](const HttpRequest&) {
-      HttpResponse response;
-      response.content_type = "application/json";
-      response.body = SlowzJson();
-      return response;
-    });
+    const auto route = [this](const char* path, const char* content_type,
+                              std::function<std::string(int*)> body) {
+      introspection_->Route(
+          "GET", path,
+          [content_type, body = std::move(body)](const HttpRequest&) {
+            HttpResponse response;
+            response.content_type = content_type;
+            response.body = body(&response.status);
+            return response;
+          });
+    };
+    const char* json = "application/json";
+    route("/metrics", "text/plain; version=0.0.4; charset=utf-8",
+          [this](int*) { return MetricsText(); });
+    route("/healthz", json, [this](int* status) { return HealthzJson(status); });
+    route("/readyz", json, [this](int* status) { return ReadyzJson(status); });
+    route("/statusz", json, [this](int*) { return StatuszJson(); });
+    route("/tracez", json, [this](int*) { return TracezJson(); });
+    route("/slowz", json, [this](int*) { return SlowzJson(); });
     started = introspection_->Start();
   }
 
@@ -621,45 +563,96 @@ std::shared_ptr<AuditLog> SchemrService::audit() const {
   return audit_;
 }
 
-void SchemrService::RecordRefusal(const SearchRequest& request,
-                                  AuditOutcome outcome,
-                                  double deadline_seconds) const {
-  // A refusal never carried a trace, but it is exactly the kind of
-  // outcome the retention rings exist for: offer it metadata-only.
-  if (TraceRetention* retention = traces_.get(); retention != nullptr) {
-    RetainedTrace retained;
-    retained.timestamp_micros = NowMicros();
-    retained.fingerprint =
-        FingerprintRawRequest(request.keywords, request.fragment);
-    retained.outcome = AuditOutcomeName(outcome);
-    retained.request_id = request.request_id;
-    retention->Retain(std::move(retained));
-  }
+void SchemrService::Record(const SearchRequest& request,
+                           AuditOutcome outcome, double deadline_seconds,
+                           const SearchRun* run, double total_seconds,
+                           double budget_seconds, SearchTrace* sample) const {
   std::shared_ptr<AuditLog> log = audit();
-  if (log == nullptr) return;
+  TraceRetention* retention = traces_.get();
+  if (log == nullptr && retention == nullptr) return;
   AuditRecord record;
   record.timestamp_micros = NowMicros();
-  // The fragment is not parsed on a refusal (that would defeat shedding);
-  // the raw-request fingerprint still aggregates keyword-only queries
-  // together with their admitted records.
+  // A refusal never parses its fragment (that would defeat shedding), and
+  // a failed parse has nothing to fingerprint: the raw-request
+  // fingerprint still aggregates keyword-only queries together with
+  // their parsed records.
   record.fingerprint =
-      FingerprintRawRequest(request.keywords, request.fragment);
+      run != nullptr && !run->query.empty()
+          ? FingerprintQuery(run->query)
+          : FingerprintRawRequest(request.keywords, request.fragment);
   record.outcome = outcome;
+  record.total_micros = static_cast<uint64_t>(total_seconds * 1e6);
   record.deadline_micros =
       static_cast<uint64_t>(std::max(0.0, deadline_seconds) * 1e6);
+  record.budget_micros = static_cast<uint64_t>(budget_seconds * 1e6);
+  if (run != nullptr && run->results.ok()) {
+    const SearchStats& stats = run->stats;
+    record.phase1_micros = static_cast<uint64_t>(stats.phase1_seconds * 1e6);
+    record.phase2_micros = static_cast<uint64_t>(stats.phase2_seconds * 1e6);
+    record.phase3_micros = static_cast<uint64_t>(stats.phase3_seconds * 1e6);
+    record.result_digest = DigestResults(*run->results);
+    record.result_count = static_cast<uint32_t>(run->results->size());
+    record.coarse_only_candidates =
+        static_cast<uint32_t>(stats.coarse_only_candidates);
+    record.dropped_matchers =
+        static_cast<uint32_t>(stats.dropped_matchers.size());
+    record.deadline_hit = stats.deadline_hit;
+    record.cache_hit = stats.cache_hit;
+  }
   record.top_k = static_cast<uint32_t>(request.top_k);
   record.candidate_pool = static_cast<uint32_t>(request.candidate_pool);
   record.keywords = request.keywords;
   record.fragment = request.fragment;
   record.request_id = request.request_id;
-  log->Record(std::move(record));
+  if (retention != nullptr) {
+    // Every request is offered; a refusal or a failure is exactly the
+    // kind of outcome the retention rings exist for, sampled or not.
+    RetainedTrace retained;
+    retained.timestamp_micros = record.timestamp_micros;
+    retained.fingerprint = record.fingerprint;
+    retained.outcome = AuditOutcomeName(record.outcome);
+    retained.total_seconds = static_cast<double>(record.total_micros) / 1e6;
+    retained.cache_hit = record.cache_hit;
+    retained.request_id = record.request_id;
+    retained.sampled = sample != nullptr;
+    if (sample != nullptr) {
+      // Stamp the root span too, so the id survives into explain-style
+      // renderings of the sampled trace, not just the retention metadata.
+      if (!request.request_id.empty() && !sample->empty()) {
+        sample->Annotate(0, "request_id", request.request_id);
+      }
+      retained.spans = sample->ToString();
+    }
+    retention->Retain(std::move(retained));
+  }
+  if (log != nullptr) log->Record(std::move(record));
+}
+
+std::string SchemrService::Refuse(const SearchRequest& request,
+                                  AuditOutcome outcome, ShedReason reason,
+                                  double deadline_seconds,
+                                  const std::string& message,
+                                  double retry_after_ms,
+                                  SearchWireInfo* wire) const {
+  Record(request, outcome, deadline_seconds);
+  // A drain withholds the retry-after: the client should go elsewhere.
+  const bool drain = reason == ShedReason::kDrain;
+  const std::string code = drain ? "shutting_down" : "overloaded";
+  if (wire != nullptr) {
+    wire->shed_reason = reason;
+    wire->retry_after_ms = drain ? 0.0 : retry_after_ms;
+    wire->error_code = code;
+  }
+  return ErrorXml(code, message, drain ? -1.0 : retry_after_ms);
 }
 
 std::string SchemrService::RunSearchToXml(
     const SearchRequest& request, double deadline_seconds,
     double original_deadline_seconds, SearchWireInfo* wire) const {
-  const ServingMetrics& serving_metrics = ServingMetrics::Get();
-  serving_metrics.inflight->Add(1.0);
+  static Gauge* const inflight = MetricsRegistry::Global().GetGauge(
+      "schemr_requests_inflight",
+      "Admitted search requests currently executing or queued.");
+  inflight->Add(1.0);
   const Timer handle_timer;
   SearchEngineOptions options;
   // Whatever the queue wait left is the pipeline's wall-clock budget; the
@@ -670,78 +663,16 @@ std::string SchemrService::RunSearchToXml(
   if (remaining < original_deadline_seconds * kNearDeadlineFraction) {
     options.matcher_budget_seconds = remaining * kNearDeadlineBudgetFraction;
   }
-  std::shared_ptr<AuditLog> log = audit();
-  TraceRetention* retention = traces_.get();
   SearchTrace sample_trace;
-  const bool sampled = retention != nullptr && retention->ShouldSample();
-  SearchAuditInfo info;
-  Result<std::string> xml = SearchXmlInternal(
-      request, options,
-      log != nullptr || retention != nullptr ? &info : nullptr,
-      sampled ? &sample_trace : nullptr);
-  serving_metrics.inflight->Add(-1.0);
-  const double total_seconds = handle_timer.ElapsedSeconds();
-  if (retention != nullptr) {
-    RetainedTrace retained;
-    retained.timestamp_micros = NowMicros();
-    retained.fingerprint =
-        info.fingerprint != 0
-            ? info.fingerprint
-            : FingerprintRawRequest(request.keywords, request.fragment);
-    retained.outcome = AuditOutcomeName(!xml.ok() ? AuditOutcome::kError
-                                        : info.stats.degraded
-                                            ? AuditOutcome::kDegraded
-                                            : AuditOutcome::kOk);
-    retained.total_seconds = total_seconds;
-    retained.cache_hit = info.stats.cache_hit;
-    retained.sampled = sampled;
-    retained.request_id = request.request_id;
-    if (sampled) {
-      // Stamp the root span too, so the id survives into explain-style
-      // renderings of the sampled trace, not just the retention metadata.
-      if (!request.request_id.empty() && !sample_trace.empty()) {
-        sample_trace.Annotate(0, "request_id", request.request_id);
-      }
-      retained.spans = sample_trace.ToString();
-    }
-    retention->Retain(std::move(retained));
-  }
-  if (log != nullptr) {
-    AuditRecord record;
-    record.timestamp_micros = NowMicros();
-    record.fingerprint =
-        info.fingerprint != 0
-            ? info.fingerprint
-            : FingerprintRawRequest(request.keywords, request.fragment);
-    record.outcome = !xml.ok() ? AuditOutcome::kError
-                     : info.stats.degraded ? AuditOutcome::kDegraded
-                                           : AuditOutcome::kOk;
-    record.total_micros =
-        static_cast<uint64_t>(handle_timer.ElapsedMicros());
-    record.phase1_micros =
-        static_cast<uint64_t>(info.stats.phase1_seconds * 1e6);
-    record.phase2_micros =
-        static_cast<uint64_t>(info.stats.phase2_seconds * 1e6);
-    record.phase3_micros =
-        static_cast<uint64_t>(info.stats.phase3_seconds * 1e6);
-    record.deadline_micros = static_cast<uint64_t>(remaining * 1e6);
-    record.budget_micros =
-        static_cast<uint64_t>(options.matcher_budget_seconds * 1e6);
-    record.result_digest = info.digest;
-    record.result_count = info.result_count;
-    record.top_k = static_cast<uint32_t>(request.top_k);
-    record.candidate_pool = static_cast<uint32_t>(request.candidate_pool);
-    record.coarse_only_candidates =
-        static_cast<uint32_t>(info.stats.coarse_only_candidates);
-    record.dropped_matchers =
-        static_cast<uint32_t>(info.stats.dropped_matchers.size());
-    record.deadline_hit = info.stats.deadline_hit;
-    record.cache_hit = info.stats.cache_hit;
-    record.keywords = request.keywords;
-    record.fragment = request.fragment;
-    record.request_id = request.request_id;
-    log->Record(std::move(record));
-  }
+  const bool sampled = traces_ != nullptr && traces_->ShouldSample();
+  SearchRun run;
+  Result<std::string> xml =
+      SearchXmlInternal(request, options, sampled ? &sample_trace : nullptr,
+                        &run);
+  inflight->Add(-1.0);
+  Record(request, RunOutcome(run.results, run.stats), remaining, &run,
+         handle_timer.ElapsedSeconds(), options.matcher_budget_seconds,
+         sampled ? &sample_trace : nullptr);
   if (xml.ok()) return *std::move(xml);
   std::string slug = StatusCodeSlug(xml.status().code());
   if (wire != nullptr) wire->error_code = slug;
@@ -756,12 +687,8 @@ std::string SchemrService::HandleSearchXml(const SearchRequest& request,
   {
     std::lock_guard<std::mutex> lock(serving_mutex_);
     if (shut_down_) {
-      RecordRefusal(request, AuditOutcome::kShedDrain, deadline_seconds);
-      if (wire != nullptr) {
-        wire->shed_reason = ShedReason::kDrain;
-        wire->error_code = "shutting_down";
-      }
-      return ErrorXml("shutting_down", "service is shut down");
+      return Refuse(request, AuditOutcome::kShedDrain, ShedReason::kDrain,
+                    deadline_seconds, "service is shut down", 0.0, wire);
     }
     executor = executor_.get();
     admission = admission_.get();
@@ -778,19 +705,13 @@ std::string SchemrService::HandleSearchXml(const SearchRequest& request,
   AdmissionDecision decision =
       admission->Admit(executor->QueueDepth(), deadline_seconds);
   if (!decision.admit) {
-    RecordRefusal(request, ShedOutcome(decision.shed_reason),
-                  decision.deadline_seconds);
-    if (wire != nullptr) {
-      wire->shed_reason = decision.shed_reason;
-      wire->retry_after_ms = decision.retry_after_ms;
-    }
-    if (decision.shed_reason == ShedReason::kDrain) {
-      if (wire != nullptr) wire->error_code = "shutting_down";
-      return ErrorXml("shutting_down", "service is draining");
-    }
-    if (wire != nullptr) wire->error_code = "overloaded";
-    return ErrorXml("overloaded", "request shed (" + decision.reason + ")",
-                    decision.retry_after_ms);
+    const ShedReason reason = decision.shed_reason;
+    return Refuse(request, ShedOutcome(reason), reason,
+                  decision.deadline_seconds,
+                  reason == ShedReason::kDrain
+                      ? "service is draining"
+                      : "request shed (" + decision.reason + ")",
+                  decision.retry_after_ms, wire);
   }
 
   // Hand the request to a worker and wait for its completion signal. The
@@ -808,17 +729,14 @@ std::string SchemrService::HandleSearchXml(const SearchRequest& request,
   const double deadline = decision.deadline_seconds;
   Status submitted = executor->TrySubmit(
       [this, state, request, wait_timer, deadline](bool cancelled) {
-        std::string xml;
-        if (cancelled) {
-          RecordRefusal(request, AuditOutcome::kCancelled, deadline);
-          state->wire.shed_reason = ShedReason::kDrain;
-          state->wire.error_code = "shutting_down";
-          xml = ErrorXml("shutting_down", "cancelled by shutdown drain");
-        } else {
-          xml = RunSearchToXml(request,
-                               deadline - wait_timer.ElapsedSeconds(),
-                               deadline, &state->wire);
-        }
+        std::string xml =
+            cancelled
+                ? Refuse(request, AuditOutcome::kCancelled, ShedReason::kDrain,
+                         deadline, "cancelled by shutdown drain", 0.0,
+                         &state->wire)
+                : RunSearchToXml(request,
+                                 deadline - wait_timer.ElapsedSeconds(),
+                                 deadline, &state->wire);
         {
           std::lock_guard<std::mutex> lock(state->mutex);
           state->xml = std::move(xml);
@@ -831,26 +749,14 @@ std::string SchemrService::HandleSearchXml(const SearchRequest& request,
     // thread filled the queue, or drain began). Shed rather than block;
     // CountShed keeps schemr_requests_shed_total accounting for every
     // rejection, raced or not.
-    if (admission->draining()) {
-      admission->CountShed(ShedReason::kDrain);
-      RecordRefusal(request, AuditOutcome::kShedDrain,
-                    decision.deadline_seconds);
-      if (wire != nullptr) {
-        wire->shed_reason = ShedReason::kDrain;
-        wire->error_code = "shutting_down";
-      }
-      return ErrorXml("shutting_down", "service is draining");
-    }
-    admission->CountShed(ShedReason::kQueueFull);
-    RecordRefusal(request, AuditOutcome::kShedQueueFull,
-                  decision.deadline_seconds);
-    if (wire != nullptr) {
-      wire->shed_reason = ShedReason::kQueueFull;
-      wire->retry_after_ms = admission->options().retry_after_base_ms;
-      wire->error_code = "overloaded";
-    }
-    return ErrorXml("overloaded", submitted.message(),
-                    admission->options().retry_after_base_ms);
+    const ShedReason reason = admission->draining() ? ShedReason::kDrain
+                                                    : ShedReason::kQueueFull;
+    admission->CountShed(reason);
+    return Refuse(request, ShedOutcome(reason), reason,
+                  decision.deadline_seconds,
+                  reason == ShedReason::kDrain ? "service is draining"
+                                               : submitted.message(),
+                  admission->options().retry_after_base_ms, wire);
   }
   FaultInjector::Global().Perturb("service/handoff/wait");
   std::unique_lock<std::mutex> lock(state->mutex);

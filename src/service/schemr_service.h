@@ -232,10 +232,10 @@ class SchemrService {
   // --- Query audit log (DESIGN.md §10) -----------------------------------
 
   /// Opens (creating if needed) an audit log at `dir` and records every
-  /// subsequent search request into it: admitted requests (with phase
-  /// latencies, fingerprint and result digest) from the pipeline path,
-  /// shed/cancelled requests from the admission path. Idempotent per
-  /// service; call before StartServing.
+  /// subsequent search request into it: admitted requests and Search()
+  /// calls (with phase latencies, fingerprint and result digest), failed
+  /// ones included, and shed/cancelled requests from the admission path.
+  /// Idempotent per service; call before StartServing.
   Status EnableAudit(const std::string& dir, AuditLogOptions options = {});
 
   /// Shares an already-open log (several services, or a test, can feed
@@ -245,7 +245,8 @@ class SchemrService {
   /// The active audit log, or null when auditing is off.
   std::shared_ptr<AuditLog> audit() const;
 
-  /// Runs a search and returns structured results.
+  /// Runs a search and returns structured results. Records the request,
+  /// failed validation and parse included, when auditing is on.
   Result<std::vector<SearchResult>> Search(
       const SearchRequest& request,
       const SearchEngineOptions& engine_options = {}) const;
@@ -257,7 +258,8 @@ class SchemrService {
   /// A degraded search (matcher dropped, deadline hit) adds
   /// degraded="true" on <results>, and explain mode a <degradation>
   /// element naming what was given up; non-degraded responses are
-  /// byte-identical to the pre-degradation wire format.
+  /// byte-identical to the pre-degradation wire format. Records nothing:
+  /// this is the reference path served answers are compared against.
   Result<std::string> SearchXml(
       const SearchRequest& request,
       const SearchEngineOptions& engine_options = {}) const;
@@ -342,15 +344,12 @@ class SchemrService {
   }
 
  private:
-  /// What the pipeline path hands back for the audit record: computed
-  /// where the parsed query and ranked results already exist, so auditing
-  /// costs no extra parse or copy on the hot path.
-  struct SearchAuditInfo {
-    bool filled = false;  ///< false when the request failed before ranking
-    uint64_t fingerprint = 0;
-    uint64_t digest = 0;
-    uint32_t result_count = 0;
+  /// One pipeline run, which a request's XML body and its record are
+  /// both built from. `query` stays empty when validation or parse failed.
+  struct SearchRun {
+    QueryGraph query;
     SearchStats stats;
+    Result<std::vector<SearchResult>> results = std::vector<SearchResult>{};
   };
 
   Result<SchemaGraphView> BuildView(const VisualizationRequest& request) const;
@@ -360,28 +359,40 @@ class SchemrService {
   /// InvalidArgument for over-limit depth or unknown layout strings,
   /// checked before any repository access.
   Status ValidateRequest(const VisualizationRequest& request) const;
-  /// SearchXml with an optional audit side-channel (null skips the
-  /// fingerprint/digest work entirely) and an optional caller-owned trace
-  /// for tail sampling. `sample_trace` is engine-internal: it is filled
-  /// like an explain trace but never serialized, so sampled responses
-  /// stay byte-identical to unsampled ones. Ignored when the request
-  /// itself asks for explain (the explain trace wins).
+  /// The one pipeline run behind Search, SearchXml and HandleSearchXml:
+  /// validate, parse, apply the request to `options`, run the engine. A
+  /// caller's `options.trace` and `options.stats` are filled as well.
+  SearchRun RunSearch(const SearchRequest& request,
+                      SearchEngineOptions options) const;
+  /// RunSearch into `run`, serialized as the XML wire format. A non-null
+  /// `sample_trace` is filled like an explain trace but never
+  /// serialized, so sampled responses stay byte-identical to unsampled
+  /// ones; the request's own explain trace wins over it.
   Result<std::string> SearchXmlInternal(const SearchRequest& request,
-                                        const SearchEngineOptions& options,
-                                        SearchAuditInfo* audit,
-                                        SearchTrace* sample_trace) const;
+                                        SearchEngineOptions options,
+                                        SearchTrace* sample_trace,
+                                        SearchRun* run) const;
   /// Runs the search under `deadline_seconds` with the near-deadline
-  /// degradation ladder applied and serializes the outcome (results or
-  /// <error>) as XML. Records the request into the audit log when one is
-  /// enabled. `wire` (may be null) receives the error slug on failure.
+  /// degradation ladder applied, records it, and serializes the outcome
+  /// (results or <error>) as XML. `wire` (may be null) receives the
+  /// error slug on failure.
   std::string RunSearchToXml(const SearchRequest& request,
                              double deadline_seconds,
                              double original_deadline_seconds,
                              SearchWireInfo* wire = nullptr) const;
-  /// Records a request refused before the pipeline ran (shed, cancelled,
-  /// post-shutdown). No-op when auditing is off.
-  void RecordRefusal(const SearchRequest& request, AuditOutcome outcome,
-                     double deadline_seconds) const;
+  /// The one recorder: builds the request's AuditRecord, derives its
+  /// RetainedTrace from it when retention is on, and appends it when
+  /// auditing is on. A refusal passes no `run`.
+  void Record(const SearchRequest& request, AuditOutcome outcome,
+              double deadline_seconds, const SearchRun* run = nullptr,
+              double total_seconds = 0.0, double budget_seconds = 0.0,
+              SearchTrace* sample = nullptr) const;
+  /// Records a refusal, fills `wire` and returns the <error> body: the
+  /// one path by which HandleSearchXml turns a request away.
+  std::string Refuse(const SearchRequest& request, AuditOutcome outcome,
+                     ShedReason reason, double deadline_seconds,
+                     const std::string& message, double retry_after_ms,
+                     SearchWireInfo* wire) const;
 
   const ServingCorpus* corpus_ = nullptr;  ///< null without a live corpus
   SearchEngine engine_;

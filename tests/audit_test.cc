@@ -570,6 +570,93 @@ TEST_F(ServiceAuditTest, PostShutdownRefusalIsRecorded) {
   EXPECT_EQ(record.fingerprint, FingerprintRawRequest("customer", ""));
 }
 
+TEST_F(ServiceAuditTest, FailedSearchIsRecorded) {
+  // Search() records a request that never reached the engine, as the
+  // wire path does: one error record under the raw-request fingerprint,
+  // with its text kept so the failure can be reproduced.
+  SeedService();
+  SearchRequest invalid;
+  invalid.keywords = "customer order";
+  invalid.top_k = 0;
+  EXPECT_FALSE(service_->Search(invalid).ok());
+  SearchRequest empty;  // no keywords and no fragment: parse error
+  EXPECT_FALSE(service_->Search(empty).ok());
+  service_->audit()->Close();
+
+  auto report = ReadAuditLog(dir_.string());
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->records.size(), 2u);
+  const SearchRequest* requests[] = {&invalid, &empty};
+  for (size_t i = 0; i < 2; ++i) {
+    const AuditRecord& record = report->records[i];
+    EXPECT_EQ(record.outcome, AuditOutcome::kError) << i;
+    EXPECT_EQ(record.fingerprint,
+              FingerprintRawRequest(requests[i]->keywords,
+                                    requests[i]->fragment))
+        << i;
+    EXPECT_TRUE(record.has_query_text) << i;
+    EXPECT_EQ(record.keywords, requests[i]->keywords) << i;
+    EXPECT_EQ(record.top_k, requests[i]->top_k) << i;
+    EXPECT_EQ(record.result_count, 0u) << i;
+  }
+}
+
+TEST_F(ServiceAuditTest, RetainedTraceMatchesItsRecord) {
+  // One admitted request and one refused after Shutdown: each leaves one
+  // audit record and one retained trace, and the trace carries its
+  // record's timestamp, fingerprint, outcome, total, cache hit and id.
+  auto corpus = ServingCorpus::Create(SchemaRepository::OpenInMemory());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ASSERT_TRUE((*corpus)
+                  ->Ingest(SchemaBuilder("customer_orders")
+                               .Entity("customer")
+                               .Attribute("name")
+                               .Build())
+                  .ok());
+  SchemrService service(corpus->get());
+  ASSERT_TRUE(service.EnableAudit(dir_.string()).ok());
+  ServingOptions serving;
+  serving.trace_retention.sample_every_n = 1;
+  ASSERT_TRUE(service.StartServing(serving).ok());
+  SearchRequest admitted;
+  admitted.keywords = "customer name";
+  admitted.request_id = "admitted-1";
+  EXPECT_NE(service.HandleSearchXml(admitted).find("<results"),
+            std::string::npos);
+  ASSERT_TRUE(service.Shutdown(5.0).ok());
+  SearchRequest refused;
+  refused.keywords = "customer";
+  refused.request_id = "refused-2";
+  EXPECT_NE(service.HandleSearchXml(refused).find("shutting_down"),
+            std::string::npos);
+  service.audit()->Close();
+
+  auto report = ReadAuditLog(dir_.string());
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->records.size(), 2u);
+  const std::vector<RetainedTrace> traces =
+      service.trace_retention()->Snapshot();
+  ASSERT_EQ(traces.size(), 2u);
+  for (const AuditRecord& record : report->records) {
+    const RetainedTrace* trace = nullptr;
+    for (const RetainedTrace& t : traces) {
+      if (t.request_id == record.request_id) trace = &t;
+    }
+    ASSERT_NE(trace, nullptr) << record.request_id;
+    EXPECT_EQ(trace->timestamp_micros, record.timestamp_micros);
+    EXPECT_EQ(trace->fingerprint, record.fingerprint);
+    EXPECT_EQ(trace->outcome, AuditOutcomeName(record.outcome));
+    EXPECT_EQ(trace->total_seconds,
+              static_cast<double>(record.total_micros) / 1e6);
+    EXPECT_EQ(trace->cache_hit, record.cache_hit);
+  }
+  EXPECT_EQ(report->records[0].request_id, "admitted-1");
+  EXPECT_EQ(report->records[0].outcome, AuditOutcome::kOk);
+  EXPECT_GT(report->records[0].total_micros, 0u);
+  EXPECT_EQ(report->records[1].request_id, "refused-2");
+  EXPECT_EQ(report->records[1].outcome, AuditOutcome::kShedDrain);
+}
+
 TEST_F(ServiceAuditTest, NearDeadlineRequestRunsWithTightenedBudget) {
   // The near-deadline ladder. One worker, held by a request whose first
   // matcher call sleeps: the next request spends most of its deadline in

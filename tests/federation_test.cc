@@ -93,6 +93,48 @@ TEST(FederationParseTest, SkipsUnannouncedAndForeignSeries) {
   EXPECT_EQ((*parsed)[0].counter_value, 4u);
 }
 
+TEST(FederationParseTest, RejectsNegativeCounters) {
+  // A signed value is no counter; read as unsigned it would wrap to
+  // 2^64 - 1 and swamp the fleet sum.
+  EXPECT_FALSE(ParsePrometheusSnapshots("# TYPE c counter\nc -1\n").ok());
+  EXPECT_FALSE(ParsePrometheusSnapshots("# TYPE h histogram\n"
+                                        "h_bucket{le=\"+Inf\"} 2\n"
+                                        "h_sum 1\nh_count -1\n")
+                   .ok());
+  auto parsed =
+      ParsePrometheusSnapshots("# TYPE c counter\nc 18446744073709551615\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ((*parsed)[0].counter_value, 18446744073709551615ull);
+}
+
+TEST(FederationParseTest, RejectsHistogramCountThatDisagreesWithInfBucket) {
+  // The checker rejects such a family, so merging it would make the
+  // coordinator's own /metrics?merge=fleet fail the checker.
+  const std::string scrape =
+      "# TYPE h histogram\n"
+      "h_bucket{le=\"0.1\"} 1\n"
+      "h_bucket{le=\"+Inf\"} 2\n"
+      "h_sum 1\nh_count 5\n";
+  EXPECT_FALSE(CheckPrometheusText(scrape).ok());
+  EXPECT_FALSE(ParsePrometheusSnapshots(scrape).ok());
+}
+
+TEST(FederationParseTest, UnescapesHelpText) {
+  // Help is kept as the registry holds it, so a scrape that passes
+  // through the merge any number of times re-emits the same bytes.
+  MetricsRegistry registry;
+  registry.GetCounter("c_total", "a\\b\nline two")->Increment(1);
+  const std::string scrape = ToPrometheusText(registry.Collect());
+  auto parsed = ParsePrometheusSnapshots(scrape);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 1u);
+  EXPECT_EQ((*parsed)[0].help, "a\\b\nline two");
+  EXPECT_EQ(ToPrometheusText(*parsed), scrape);
+  EXPECT_FALSE(ParsePrometheusSnapshots("# HELP c bad \\t escape\n"
+                                        "# TYPE c counter\nc 1\n")
+                   .ok());
+}
+
 TEST(FederationMergeTest, CountersAndGaugesSumAcrossScrapes) {
   std::vector<std::vector<MetricSnapshot>> scrapes;
   for (uint64_t n : {3u, 5u, 11u}) {
