@@ -36,13 +36,7 @@ ServingCorpus& SharedCorpus() {
                    fixture.status().ToString().c_str());
       std::abort();
     }
-    auto built = ServingCorpus::Create(std::move(fixture->repository));
-    if (!built.ok()) {
-      std::fprintf(stderr, "corpus build failed: %s\n",
-                   built.status().ToString().c_str());
-      std::abort();
-    }
-    return built->release();
+    return fixture->serving.release();
   }();
   return *corpus;
 }
@@ -118,19 +112,15 @@ void BM_CorpusCommit(benchmark::State& state) {
     state.SkipWithError("fixture build failed");
     return;
   }
-  auto corpus = ServingCorpus::Create(std::move(fixture->repository));
-  if (!corpus.ok()) {
-    state.SkipWithError("corpus build failed");
-    return;
-  }
+  ServingCorpus* corpus = fixture->serving.get();
   CorpusOptions one;
   one.num_schemas = 1;
   one.seed = 41;
   auto extra = GenerateCorpus(one);
   for (auto _ : state) {
-    auto id = (*corpus)->Ingest(extra.front().schema);
+    auto id = corpus->Ingest(extra.front().schema);
     if (!id.ok()) state.SkipWithError("ingest failed");
-    auto removed = (*corpus)->Remove(*id);
+    auto removed = corpus->Remove(*id);
     if (!removed.ok()) state.SkipWithError("remove failed");
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);

@@ -21,7 +21,7 @@ void BM_IndexRebuild(benchmark::State& state) {
       bench::SharedFixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     Indexer indexer;
-    auto stats = indexer.RebuildFromRepository(*fixture.repository);
+    auto stats = indexer.RebuildFromRepository(*fixture.repository());
     if (!stats.ok()) state.SkipWithError("rebuild failed");
     benchmark::DoNotOptimize(indexer.index().NumTerms());
   }
@@ -37,12 +37,12 @@ BENCHMARK(BM_IndexRebuild)
 void BM_IndexRefreshNoChanges(benchmark::State& state) {
   const CorpusFixture& fixture = bench::SharedFixture(5000);
   Indexer indexer;
-  if (!indexer.RebuildFromRepository(*fixture.repository).ok()) {
+  if (!indexer.RebuildFromRepository(*fixture.repository()).ok()) {
     state.SkipWithError("rebuild failed");
     return;
   }
   for (auto _ : state) {
-    auto stats = indexer.Refresh(*fixture.repository);
+    auto stats = indexer.Refresh(*fixture.repository());
     if (!stats.ok()) state.SkipWithError("refresh failed");
     benchmark::DoNotOptimize(stats->schemas_indexed);
   }
@@ -52,7 +52,7 @@ BENCHMARK(BM_IndexRefreshNoChanges)->Unit(benchmark::kMillisecond);
 void BM_IndexIncrementalOneSchema(benchmark::State& state) {
   const CorpusFixture& fixture = bench::SharedFixture(5000);
   Indexer indexer;
-  if (!indexer.RebuildFromRepository(*fixture.repository).ok()) {
+  if (!indexer.RebuildFromRepository(*fixture.repository()).ok()) {
     state.SkipWithError("rebuild failed");
     return;
   }

@@ -85,7 +85,7 @@ int Run() {
               "nDCG10");
 
   {
-    SearchEngine engine(fixture->repository.get(), &fixture->index());
+    SearchEngine engine(fixture->serving.get());
     QualitySummary q = *EvaluateEngine(engine, *fixture, workload);
     std::printf("  %-26s %7.3f %7.3f %7.3f\n", "uniform", q.precision_at_5,
                 q.mrr, q.ndcg_at_10);
@@ -93,8 +93,7 @@ int Run() {
   {
     MatcherEnsemble ensemble = MatcherEnsemble::Default();
     ensemble.SetWeights(final_model.NormalizedWeights());
-    SearchEngine engine(fixture->repository.get(), &fixture->index(),
-                        std::move(ensemble));
+    SearchEngine engine(fixture->serving.get(), std::move(ensemble));
     QualitySummary q = *EvaluateEngine(engine, *fixture, workload);
     std::printf("  %-26s %7.3f %7.3f %7.3f\n", "learned weights",
                 q.precision_at_5, q.mrr, q.ndcg_at_10);
@@ -102,8 +101,7 @@ int Run() {
   {
     MatcherEnsemble ensemble = MatcherEnsemble::Default();
     ensemble.SetLogisticModel(final_model);
-    SearchEngine engine(fixture->repository.get(), &fixture->index(),
-                        std::move(ensemble));
+    SearchEngine engine(fixture->serving.get(), std::move(ensemble));
     QualitySummary q = *EvaluateEngine(engine, *fixture, workload);
     std::printf("  %-26s %7.3f %7.3f %7.3f\n", "logistic combiner",
                 q.precision_at_5, q.mrr, q.ndcg_at_10);

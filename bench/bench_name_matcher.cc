@@ -51,10 +51,9 @@ int Run() {
     return 1;
   }
 
-  SearchEngine with_name(fixture->repository.get(), &fixture->index(),
+  SearchEngine with_name(fixture->serving.get(),
                          MatcherEnsemble::PaperMinimal());
-  SearchEngine without_name(fixture->repository.get(), &fixture->index(),
-                            WithoutNameMatcher());
+  SearchEngine without_name(fixture->serving.get(), WithoutNameMatcher());
 
   std::printf("\n=== E3 name matcher vs name variation (corpus=%zu) ===\n",
               fixture->corpus.size());

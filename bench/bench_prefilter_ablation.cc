@@ -24,7 +24,6 @@
 #include "core/serving_corpus.h"
 #include "eval/harness.h"
 #include "eval/ir_metrics.h"
-#include "index/indexer.h"
 #include "match/features.h"
 #include "repo/schema_repository.h"
 #include "util/timer.h"
@@ -39,7 +38,7 @@ int Run() {
   auto fixture = CorpusFixture::Build(corpus_options);
   if (!fixture.ok()) {
     std::fprintf(stderr, "fixture failed: %s\n",
-                 fixture->indexer ? "index" : "corpus");
+                 fixture.status().ToString().c_str());
     return 1;
   }
 
@@ -52,16 +51,7 @@ int Run() {
 
   // One pinned snapshot with the feature catalog: the engine every
   // configuration runs against.
-  auto snapshot = PinSnapshot(
-      *fixture->repository,
-      std::shared_ptr<const InvertedIndex>(
-          std::shared_ptr<const InvertedIndex>(), &fixture->index()));
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "catalog failed: %s\n",
-                 snapshot.status().ToString().c_str());
-    return 1;
-  }
-  SearchEngine engine(*snapshot);
+  SearchEngine engine(fixture->serving->Snapshot());
 
   // The exact top-10 of every query, for window retention.
   std::vector<std::vector<uint64_t>> exact_windows;

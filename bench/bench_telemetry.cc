@@ -42,13 +42,7 @@ ServingCorpus& SharedCorpus() {
                    fixture.status().ToString().c_str());
       std::abort();
     }
-    auto built = ServingCorpus::Create(std::move(fixture->repository));
-    if (!built.ok()) {
-      std::fprintf(stderr, "corpus build failed: %s\n",
-                   built.status().ToString().c_str());
-      std::abort();
-    }
-    return built->release();
+    return fixture->serving.release();
   }();
   return *corpus;
 }

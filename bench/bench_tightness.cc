@@ -193,18 +193,17 @@ void RunScatteredDistractorExperiment() {
       if (scattered.NumAttributes() < 4) continue;
       // Distractors are NOT in the relevance set: they are wrong answers
       // that share vocabulary.
-      if (!fixture->repository->Insert(std::move(scattered)).ok()) continue;
+      if (!fixture->serving->Ingest(std::move(scattered)).ok()) continue;
       ++distractors;
     }
   }
-  if (!fixture->indexer->Refresh(*fixture->repository).ok()) return;
 
   QueryWorkloadOptions workload_options;
   workload_options.num_queries = 44;
   workload_options.seed = 19;
   auto workload = GenerateQueryWorkload(workload_options);
 
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
   SearchEngineOptions no_tof;
   no_tof.enable_tightness = false;
   SearchEngineOptions with_tof;

@@ -42,7 +42,7 @@ int main() {
   if (!query.ok()) return 1;
   std::printf("draft schema:\n%s\n", draft_ddl);
 
-  schemr::SearchEngine engine(fixture->repository.get(), &fixture->index());
+  schemr::SearchEngine engine(fixture->serving.get());
   auto results = engine.Search(*query);
   if (!results.ok() || results->empty()) {
     std::fprintf(stderr, "search failed or empty\n");
@@ -52,7 +52,7 @@ int main() {
   std::printf("best existing model: '%s' (score %.3f, %zu matches)\n\n",
               top.name.c_str(), top.score, top.num_matches);
 
-  auto top_schema = fixture->repository->Get(top.schema_id);
+  auto top_schema = fixture->repository()->Get(top.schema_id);
   if (!top_schema.ok()) return 1;
 
   // (a) Capture the implicit semantic mapping.
@@ -92,9 +92,9 @@ int main() {
 
   // (c) Record reuse: usage + a rating; community signal boosts the
   // schema in subsequent searches.
-  (void)fixture->repository->RecordUsage(top.schema_id);
-  (void)fixture->repository->AddRating(top.schema_id, {"designer", 5});
-  (void)fixture->repository->AddComment(
+  (void)fixture->repository()->RecordUsage(top.schema_id);
+  (void)fixture->repository()->AddRating(top.schema_id, {"designer", 5});
+  (void)fixture->repository()->AddComment(
       top.schema_id,
       {"designer", "reused as the basis for our new patient table", 1});
 

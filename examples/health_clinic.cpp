@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   std::printf("corpus: %zu schemas indexed (%zu terms)\n",
               fixture->index().NumDocs(), fixture->index().NumTerms());
 
-  schemr::SchemrService service(fixture->repository.get(),
-                                &fixture->index());
+  schemr::SchemrService service(fixture->serving.get());
 
   // The query of the paper: keywords + a partially designed schema (the
   // query graph of Fig. 1 -- a fragment tree plus keyword one-node trees).

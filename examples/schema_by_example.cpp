@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   }
   std::printf("query graph: %s\n", query->ToString().c_str());
 
-  schemr::SearchEngine engine(fixture->repository.get(), &fixture->index());
+  schemr::SearchEngine engine(fixture->serving.get());
   auto results = engine.Search(*query);
   if (!results.ok() || results->empty()) {
     std::fprintf(stderr, "search failed or empty\n");
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   // Inspect the ensemble on the best hit.
   const schemr::SearchResult& top = results->front();
-  auto top_schema = fixture->repository->Get(top.schema_id);
+  auto top_schema = fixture->repository()->Get(top.schema_id);
   if (!top_schema.ok()) return 1;
   schemr::MatcherEnsemble ensemble = schemr::MatcherEnsemble::Default();
   schemr::EnsembleResult ensemble_result =

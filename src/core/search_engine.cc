@@ -147,35 +147,21 @@ struct WorkerTally {
 
 }  // namespace
 
-SearchEngine::SearchEngine(const SchemaRepository* repository,
-                           const InvertedIndex* index,
-                           MatcherEnsemble ensemble)
-    : annotations_(repository), ensemble_(std::move(ensemble)) {
-  // Non-owning alias: the caller keeps *index alive.
-  Result<std::shared_ptr<const CorpusSnapshot>> pinned = PinSnapshot(
-      *repository, std::shared_ptr<const InvertedIndex>(
-                       std::shared_ptr<const InvertedIndex>(), index));
-  pin_status_ = pinned.status();
-  if (pinned.ok()) pinned_ = *std::move(pinned);
-}
-
 SearchEngine::SearchEngine(std::shared_ptr<const CorpusSnapshot> snapshot,
                            MatcherEnsemble ensemble,
                            const SchemaRepository* annotations)
     : pinned_(std::move(snapshot)),
       annotations_(annotations),
-      ensemble_(std::move(ensemble)) {
-  if (pinned_ == nullptr || pinned_->index == nullptr ||
-      pinned_->schemas == nullptr || pinned_->match_features == nullptr) {
-    pin_status_ = Status::InvalidArgument(
-        "a pinned corpus snapshot needs an index, a schema view and a "
-        "match-feature catalog");
-  }
-}
+      ensemble_(std::move(ensemble)) {}
 
 Result<std::shared_ptr<const CorpusSnapshot>> SearchEngine::Snapshot() const {
   if (corpus_ != nullptr) return corpus_->Snapshot();
-  if (!pin_status_.ok()) return pin_status_;
+  if (pinned_ == nullptr || pinned_->index == nullptr ||
+      pinned_->schemas == nullptr || pinned_->match_features == nullptr) {
+    return Status::InvalidArgument(
+        "a pinned corpus snapshot needs an index, a schema view and a "
+        "match-feature catalog");
+  }
   return pinned_;
 }
 

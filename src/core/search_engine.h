@@ -169,27 +169,18 @@ struct SearchEngineOptions {
 /// Facade tying the corpus and the match engine together.
 ///
 /// Every search scores one complete CorpusSnapshot -- index, schema view
-/// and match-feature catalog -- through the same pipeline; the
-/// constructors differ only in where that snapshot comes from:
+/// and match-feature catalog -- that a ServingCorpus published, through
+/// the same pipeline; the constructors differ only in which snapshot:
 ///   - a live ServingCorpus: Search acquires the current snapshot up
 ///     front and runs every phase against it, so concurrent Search calls
 ///     are safe even while the corpus ingests -- each search sees a
 ///     consistent pre- or post-commit corpus, never a mix;
-///   - a pinned snapshot: every Search runs against that one snapshot.
+///   - a pinned snapshot (ServingCorpus::Snapshot()): every Search runs
+///     against that one snapshot.
 /// The ensemble is const during Search (matchers are stateless); do not
 /// call mutable_ensemble() concurrently with searches.
 class SearchEngine {
  public:
-  /// Convenience: pins PinSnapshot(*repository, index) -- the
-  /// repository's current view, a non-owning alias of `*index` and a
-  /// freshly built catalog -- and reads annotations from `repository`.
-  /// Caller guarantees both outlive the engine and that `*index` does not
-  /// change while searches run. When the view cannot be read, every
-  /// Search returns that error.
-  SearchEngine(const SchemaRepository* repository,
-               const InvertedIndex* index,
-               MatcherEnsemble ensemble = MatcherEnsemble::Default());
-
   /// Snapshot-isolated searches over a live corpus, whose repository
   /// answers annotation reads.
   explicit SearchEngine(const ServingCorpus* corpus,
@@ -243,9 +234,6 @@ class SearchEngine {
   /// The live corpus when set; otherwise every search runs on pinned_.
   const ServingCorpus* corpus_ = nullptr;
   std::shared_ptr<const CorpusSnapshot> pinned_;
-  /// Why pinned_ is unusable (an unreadable view, an incomplete
-  /// snapshot); OK otherwise.
-  Status pin_status_;
   /// Ratings and usage for annotation_boost; null when none was given.
   const SchemaRepository* annotations_ = nullptr;
   MatcherEnsemble ensemble_;

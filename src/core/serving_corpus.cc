@@ -42,32 +42,7 @@ struct CorpusMetrics {
   }
 };
 
-/// Sets the schemr_match_term_dictionary_terms gauge to the size of the
-/// dictionary `catalog` publishes: on every publication and every pin.
-void ReportTermDictionary(const MatchFeatureCatalog& catalog) {
-  CorpusMetrics::Get().dictionary_terms->Set(
-      static_cast<double>(catalog.terms().size()));
-}
-
 }  // namespace
-
-Result<std::shared_ptr<const CorpusSnapshot>> PinSnapshot(
-    const SchemaRepository& repository,
-    std::shared_ptr<const InvertedIndex> index) {
-  auto snapshot = std::make_shared<CorpusSnapshot>();
-  snapshot->schemas = repository.View();
-  snapshot->version = snapshot->schemas->version();
-  snapshot->index = std::move(index);
-  CatalogBuilder builder;
-  SCHEMR_RETURN_IF_ERROR(
-      snapshot->schemas->ForEach([&builder](const Schema& schema) {
-        builder.Add(schema);
-        return Status::OK();
-      }));
-  snapshot->match_features = builder.Build();
-  ReportTermDictionary(*snapshot->match_features);
-  return std::shared_ptr<const CorpusSnapshot>(std::move(snapshot));
-}
 
 ServingCorpus::ServingCorpus(std::unique_ptr<SchemaRepository> repository)
     : repository_(std::move(repository)),
@@ -138,7 +113,8 @@ void ServingCorpus::PublishLocked() {
   // immutable no matter what later writers do to features_.
   next->match_features = std::make_shared<const MatchFeatureCatalog>(
       FeatureBuildOptions{}, features_, std::make_shared<const DfTable>(df_));
-  ReportTermDictionary(*next->match_features);
+  CorpusMetrics::Get().dictionary_terms->Set(
+      static_cast<double>(next->match_features->terms().size()));
   FaultInjector::Global().Perturb("corpus/commit/publish");
   snapshot_.store(std::move(next));
   retired_.push_back(std::move(previous));

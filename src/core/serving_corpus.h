@@ -44,8 +44,7 @@ namespace schemr {
 /// lazy cache, no lock), so it is safe to share across threads without
 /// synchronization.
 struct CorpusSnapshot {
-  /// Monotone publication counter of the owning ServingCorpus (of the
-  /// repository view, for a PinSnapshot).
+  /// Monotone publication counter of the ServingCorpus that published it.
   uint64_t version = 0;
   /// The text index at this version.
   std::shared_ptr<const InvertedIndex> index;
@@ -57,15 +56,6 @@ struct CorpusSnapshot {
   /// result cache's corpus_version key covers it too.
   std::shared_ptr<const MatchFeatureCatalog> match_features;
 };
-
-/// Pins one complete snapshot without a live corpus: `index` paired with
-/// `repository`'s current view and a match-feature catalog built over
-/// that view. The unit a search runs against outside a ServingCorpus
-/// (static engines, tests, benches). Fails with the decode error of a
-/// view it cannot read, as ServingCorpus::Create does.
-Result<std::shared_ptr<const CorpusSnapshot>> PinSnapshot(
-    const SchemaRepository& repository,
-    std::shared_ptr<const InvertedIndex> index);
 
 /// What ServingCorpus::Open adopted from its state directory or rebuilt,
 /// and what each part cost.

@@ -10,16 +10,15 @@ namespace schemr {
 Result<CorpusFixture> CorpusFixture::Build(const CorpusOptions& options) {
   CorpusFixture fixture;
   fixture.corpus = GenerateCorpus(options);
-  fixture.repository = SchemaRepository::OpenInMemory();
+  std::unique_ptr<SchemaRepository> repository =
+      SchemaRepository::OpenInMemory();
   fixture.ids.reserve(fixture.corpus.size());
   for (const GeneratedSchema& generated : fixture.corpus) {
-    SCHEMR_ASSIGN_OR_RETURN(SchemaId id,
-                            fixture.repository->Insert(generated.schema));
+    SCHEMR_ASSIGN_OR_RETURN(SchemaId id, repository->Insert(generated.schema));
     fixture.ids.push_back(id);
   }
-  fixture.indexer = std::make_unique<Indexer>();
-  SCHEMR_RETURN_IF_ERROR(
-      fixture.indexer->RebuildFromRepository(*fixture.repository).status());
+  SCHEMR_ASSIGN_OR_RETURN(fixture.serving,
+                          ServingCorpus::Create(std::move(repository)));
   fixture.relevance = BuildRelevanceMap(fixture.corpus, fixture.ids);
   return fixture;
 }

@@ -1,7 +1,8 @@
-// Shared experiment harness: builds a generated corpus into an in-memory
-// repository + index, and evaluates a search engine against a ground-truth
-// query workload. Used by the quality benchmarks (E3-E9) and integration
-// tests so every experiment measures the same way.
+// Shared experiment harness: builds a generated corpus into a serving
+// corpus over an in-memory repository, and evaluates a search engine
+// against a ground-truth query workload. Used by the quality benchmarks
+// (E3-E9) and integration tests so every experiment measures the same
+// build that serves.
 
 #ifndef SCHEMR_EVAL_HARNESS_H_
 #define SCHEMR_EVAL_HARNESS_H_
@@ -13,25 +14,28 @@
 #include <vector>
 
 #include "core/search_engine.h"
+#include "core/serving_corpus.h"
 #include "corpus/query_workload.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "repo/schema_repository.h"
 
 namespace schemr {
 
-/// A ready-to-search corpus: repository, index, and relevance ground
-/// truth. Move-only (owns the repository).
+/// A ready-to-search corpus: a ServingCorpus over the generated schemas,
+/// and relevance ground truth. Move-only (owns the corpus).
 struct CorpusFixture {
-  std::unique_ptr<SchemaRepository> repository;
-  std::unique_ptr<Indexer> indexer;
+  std::unique_ptr<ServingCorpus> serving;
   std::vector<GeneratedSchema> corpus;
   std::vector<SchemaId> ids;  ///< parallel to corpus
   std::unordered_map<std::string, std::unordered_set<SchemaId>> relevance;
 
-  const InvertedIndex& index() const { return indexer->index(); }
+  /// The serving corpus's repository (schemas and annotations).
+  SchemaRepository* repository() const { return serving->repository(); }
+  /// The current snapshot's text index (valid until the next write).
+  const InvertedIndex& index() const { return *serving->Snapshot()->index; }
 
-  /// Generates, inserts and indexes a corpus (in-memory repository).
+  /// Generates and inserts a corpus (in-memory repository), then stands
+  /// it up through ServingCorpus::Create.
   static Result<CorpusFixture> Build(const CorpusOptions& options);
 };
 

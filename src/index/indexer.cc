@@ -96,10 +96,4 @@ Result<IndexerStats> Indexer::Refresh(const SchemaRepository& repo) {
   return stats;
 }
 
-Status Indexer::LoadFrom(const std::string& path) {
-  SCHEMR_ASSIGN_OR_RETURN(InvertedIndex loaded, InvertedIndex::Load(path));
-  index_ = std::move(loaded);
-  return Status::OK();
-}
-
 }  // namespace schemr

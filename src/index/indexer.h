@@ -6,8 +6,6 @@
 #ifndef SCHEMR_INDEX_INDEXER_H_
 #define SCHEMR_INDEX_INDEXER_H_
 
-#include <string>
-
 #include "index/document.h"
 #include "index/inverted_index.h"
 #include "repo/schema_repository.h"
@@ -51,10 +49,6 @@ class Indexer {
 
   const InvertedIndex& index() const { return index_; }
   InvertedIndex& mutable_index() { return index_; }
-
-  /// Persists / restores the index segment.
-  Status Save(const std::string& path) const { return index_.Save(path); }
-  Status LoadFrom(const std::string& path);
 
  private:
   InvertedIndex index_;

@@ -110,6 +110,18 @@ bool ParseFrameAt(std::string_view data, size_t offset, size_t* consumed,
   return true;
 }
 
+/// The first offset at or after `from` that frames a valid record, or
+/// npos when none does: the resync scan past damage, shared by the
+/// writer's tail check and every reader.
+size_t NextFrame(std::string_view data, size_t from) {
+  for (size_t probe = from; probe + kFramePrelude <= data.size(); ++probe) {
+    size_t consumed = 0;
+    std::string_view payload;
+    if (ParseFrameAt(data, probe, &consumed, &payload)) return probe;
+  }
+  return std::string_view::npos;
+}
+
 Result<std::string> ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
@@ -255,34 +267,22 @@ Result<std::unique_ptr<AuditLog>> AuditLog::Open(std::string dir,
   uint64_t resume_offset = 0;
   if (!ids.empty()) {
     // Validate the newest segment's tail: scan framed records forward and
-    // truncate whatever a crashed writer left dangling, exactly like the
-    // kv store's crashed-tail rule. A mid-file flip is left for readers
-    // to salvage; the writer just rolls to a fresh segment instead of
-    // appending after damage.
+    // truncate a tail that no valid record follows, which is what a
+    // crashed writer leaves. Damage that a valid record follows is
+    // mid-file damage: it is left for readers to salvage, and the writer
+    // rolls to a fresh segment instead of appending after it.
     const std::string path = SegmentFileName(log->dir_, open_id);
     auto contents = ReadWholeFile(path);
     if (contents.ok()) {
       size_t offset = 0;
-      bool damaged = false;
-      while (offset < contents->size()) {
-        size_t consumed = 0;
-        std::string_view payload;
-        if (!ParseFrameAt(*contents, offset, &consumed, &payload)) {
-          // Anything between here and EOF that still frames as a record
-          // means mid-file damage, not a torn tail.
-          for (size_t probe = offset + 1;
-               probe + kFramePrelude <= contents->size(); ++probe) {
-            size_t c2 = 0;
-            std::string_view p2;
-            if (ParseFrameAt(*contents, probe, &c2, &p2)) {
-              damaged = true;
-              break;
-            }
-          }
-          break;
-        }
+      size_t consumed = 0;
+      std::string_view payload;
+      while (ParseFrameAt(*contents, offset, &consumed, &payload)) {
         offset += consumed;
       }
+      const bool damaged = offset < contents->size() &&
+                           NextFrame(*contents, offset + 1) !=
+                               std::string_view::npos;
       if (damaged) {
         open_id = ids.back() + 1;  // leave the damaged file for salvage
       } else {
@@ -432,46 +432,8 @@ void AuditLog::Close() {
 }
 
 Result<AuditReadReport> ReadAuditSegment(const std::string& path) {
-  SCHEMR_ASSIGN_OR_RETURN(std::string contents, ReadWholeFile(path));
-  AuditReadReport report;
-  report.segments_read = 1;
-  size_t offset = 0;
-  while (offset < contents.size()) {
-    size_t consumed = 0;
-    std::string_view payload;
-    if (ParseFrameAt(contents, offset, &consumed, &payload)) {
-      AuditRecord record;
-      if (DecodeAuditRecord(payload, &record).ok()) {
-        report.records.push_back(std::move(record));
-      } else {
-        ++report.skipped_records;
-        report.skipped_bytes += consumed;
-      }
-      offset += consumed;
-      continue;
-    }
-    // Damage at `offset`: resync by scanning forward for the next offset
-    // that frames a valid record. If none exists, this is a torn tail.
-    size_t resync = offset + 1;
-    bool found = false;
-    for (; resync + kFramePrelude <= contents.size(); ++resync) {
-      size_t c2 = 0;
-      std::string_view p2;
-      if (ParseFrameAt(contents, resync, &c2, &p2)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      report.torn_tail = true;
-      report.skipped_bytes += contents.size() - offset;
-      break;
-    }
-    ++report.skipped_records;
-    report.skipped_bytes += resync - offset;
-    offset = resync;
-  }
-  return report;
+  uint64_t next_offset = 0;
+  return ReadAuditSegmentFrom(path, 0, &next_offset);
 }
 
 Result<AuditReadReport> ReadAuditLog(const std::string& dir) {
@@ -501,7 +463,6 @@ Result<AuditReadReport> ReadAuditSegmentFrom(const std::string& path,
   AuditReadReport report;
   report.segments_read = 1;
   *next_offset = start_offset;
-  if (start_offset >= contents.size()) return report;
   size_t offset = static_cast<size_t>(start_offset);
   while (offset < contents.size()) {
     size_t consumed = 0;
@@ -518,21 +479,12 @@ Result<AuditReadReport> ReadAuditSegmentFrom(const std::string& path,
       *next_offset = offset;
       continue;
     }
-    // Same resync scan as ReadAuditSegment, but the cursor only advances
-    // over damage that is *followed by* a valid record: a tail that does
+    // Damage at `offset`: resync at the next valid record. The cursor only
+    // advances over damage that a valid record follows: a tail that does
     // not frame yet may simply be a record the writer has not finished,
     // and must be re-read by the next poll.
-    size_t resync = offset + 1;
-    bool found = false;
-    for (; resync + kFramePrelude <= contents.size(); ++resync) {
-      size_t c2 = 0;
-      std::string_view p2;
-      if (ParseFrameAt(contents, resync, &c2, &p2)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const size_t resync = NextFrame(contents, offset + 1);
+    if (resync == std::string_view::npos) {
       report.torn_tail = true;
       report.skipped_bytes += contents.size() - offset;
       break;  // *next_offset stays parked at the incomplete frame

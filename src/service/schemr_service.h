@@ -154,15 +154,6 @@ Result<SchemaGraphView> BuildVisualization(
 
 class SchemrService {
  public:
-  /// Convenience: serves PinSnapshot(*repository, index), like the
-  /// engine's (repository, index) constructor. Both must outlive the
-  /// service, and `*index` must not change while requests run.
-  SchemrService(const SchemaRepository* repository,
-                const InvertedIndex* index,
-                MatcherEnsemble ensemble = MatcherEnsemble::Default(),
-                ServiceLimits limits = {})
-      : engine_(repository, index, std::move(ensemble)), limits_(limits) {}
-
   /// Every request runs against the corpus's current snapshot, so
   /// concurrent searches are safe while the corpus ingests. Required for
   /// StartServing.
@@ -173,8 +164,9 @@ class SchemrService {
         engine_(corpus, std::move(ensemble)),
         limits_(limits) {}
 
-  /// Every request runs against exactly this snapshot (see PinSnapshot).
-  /// `repository` answers annotation reads and must outlive the service.
+  /// Every request runs against exactly this snapshot, pinned from a
+  /// ServingCorpus with Snapshot(). `repository` answers annotation reads
+  /// and must outlive the service.
   SchemrService(const SchemaRepository* repository,
                 std::shared_ptr<const CorpusSnapshot> snapshot,
                 MatcherEnsemble ensemble = MatcherEnsemble::Default(),

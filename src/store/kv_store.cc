@@ -152,6 +152,18 @@ Status ParseRecord(std::string_view* data, ParsedRecord* out) {
   return Status::OK();
 }
 
+/// Bytes from the start of `data` to the next offset where a checksummed
+/// record parses, or data.size() when none does. The CRC makes a false
+/// resync vanishingly unlikely.
+size_t BytesToNextRecord(std::string_view data) {
+  for (size_t skip = 1; skip < data.size(); ++skip) {
+    std::string_view probe = data.substr(skip);
+    ParsedRecord record;
+    if (ParseRecord(&probe, &record).ok()) return skip;
+  }
+  return data.size();
+}
+
 }  // namespace
 
 std::string KvRepairReport::ToString() const {
@@ -359,9 +371,15 @@ Status KvStore::ReplaySegment(uint64_t segment_id, bool newest) {
     ParsedRecord rec;
     Status st = ParseRecord(&data, &rec);
     if (!st.ok()) {
-      if (newest) {
+      const bool salvage = options_.salvage_corrupt_segments;
+      if (!salvage && !newest) {
+        return Status::Corruption("segment " + filename + ": " +
+                                  st.message());
+      }
+      const size_t skip = salvage ? BytesToNextRecord(data) : data.size();
+      if (newest && skip == data.size()) {
         // Torn tail of the active segment from a crash: truncate and
-        // move on.
+        // move on. Without salvage, any damage here counts as one.
         SCHEMR_LOG(kWarning) << "truncating torn tail of " << filename
                              << " at " << valid_end << " (" << st.message()
                              << ")";
@@ -373,30 +391,20 @@ Status KvStore::ReplaySegment(uint64_t segment_id, bool newest) {
         }
         return Status::OK();
       }
-      if (!options_.salvage_corrupt_segments) {
-        return Status::Corruption("segment " + filename + ": " +
-                                  st.message());
-      }
-      // Salvage: quarantine bytes until a checksummed record parses
-      // again. The CRC makes a false resync vanishingly unlikely.
+      // Salvage: quarantine the bytes before the next checksummed record
+      // (in the newest segment, damage that such a record follows is not
+      // a torn tail).
       if (!segment_corrupt) {
         segment_corrupt = true;
         ++repair_report_.corrupt_segments;
       }
       ++repair_report_.corrupt_regions;
-      uint64_t region_start = offset;
-      while (!data.empty()) {
-        data.remove_prefix(1);
-        ++offset;
-        std::string_view probe = data;
-        ParsedRecord resync;
-        if (!data.empty() && ParseRecord(&probe, &resync).ok()) break;
-      }
-      repair_report_.skipped_bytes += offset - region_start;
-      SCHEMR_LOG(kWarning) << "salvage: quarantined "
-                           << (offset - region_start) << " byte(s) of "
-                           << filename << " at offset " << region_start
-                           << " (" << st.message() << ")";
+      repair_report_.skipped_bytes += skip;
+      SCHEMR_LOG(kWarning) << "salvage: quarantined " << skip
+                           << " byte(s) of " << filename << " at offset "
+                           << offset << " (" << st.message() << ")";
+      data.remove_prefix(skip);
+      offset += skip;
       continue;
     }
     if (rec.type == kTypePut) {

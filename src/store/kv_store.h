@@ -18,7 +18,9 @@
 // KvStoreOptions::salvage_corrupt_segments is set, in which case the
 // damaged byte ranges are quarantined (skipped with a resync scan), the
 // loss is tallied in repair_report(), and Open() succeeds with whatever
-// records remain readable.
+// records remain readable. In salvage mode the newest segment follows the
+// same rule wherever a checksummed record follows the damage; only damage
+// that none follows is a crashed tail and truncated.
 //
 // Compaction is crash-safe via a COMPACTING marker file: the marker
 // (naming the first output segment id) is made durable before any output
@@ -64,15 +66,17 @@ struct KvStoreOptions {
   /// segment has a bad record. With salvage on, the corrupt byte ranges
   /// are skipped instead (scanning forward for the next checksummed
   /// record), the damage is tallied in repair_report(), and the store
-  /// opens with every record that is still readable. Keys whose only
-  /// copy sat in a quarantined range are lost; a key overwritten there
-  /// may resurface with its last intact (older) value.
+  /// opens with every record that is still readable -- in the newest
+  /// segment too, where only damage that no checksummed record follows
+  /// is truncated as a crashed tail. Keys whose only copy sat in a
+  /// quarantined range are lost; a key overwritten there may resurface
+  /// with its last intact (older) value.
   bool salvage_corrupt_segments = false;
 };
 
 /// What salvage-mode recovery had to skip (all zero on a clean open).
 struct KvRepairReport {
-  size_t corrupt_segments = 0;   ///< older segments with >=1 bad range
+  size_t corrupt_segments = 0;   ///< segments with >=1 bad range
   size_t corrupt_regions = 0;    ///< contiguous quarantined byte ranges
   uint64_t skipped_bytes = 0;    ///< bytes in quarantined ranges
   size_t salvaged_records = 0;   ///< records recovered after a bad range

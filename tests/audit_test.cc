@@ -16,7 +16,6 @@
 
 #include "core/fingerprint.h"
 #include "core/query_parser.h"
-#include "index/indexer.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 #include "service/schemr_service.h"
@@ -473,8 +472,8 @@ TEST(DigestTest, SensitiveToOrderIdsAndRealScoreChanges) {
 class ServiceAuditTest : public AuditLogTest {
  protected:
   void SeedService() {
-    repo_ = SchemaRepository::OpenInMemory();
-    ASSERT_TRUE(repo_
+    auto repo = SchemaRepository::OpenInMemory();
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("customer_orders")
                                  .Entity("customer")
                                  .Attribute("id")
@@ -484,13 +483,14 @@ class ServiceAuditTest : public AuditLogTest {
                                  .Attribute("customer_id")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(indexer_.RebuildFromRepository(*repo_).ok());
-    service_ = std::make_unique<SchemrService>(repo_.get(), &indexer_.index());
+    auto corpus = ServingCorpus::Create(std::move(repo));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    corpus_ = *std::move(corpus);
+    service_ = std::make_unique<SchemrService>(corpus_.get());
     ASSERT_TRUE(service_->EnableAudit(dir_.string()).ok());
   }
 
-  std::unique_ptr<SchemaRepository> repo_;
-  Indexer indexer_;
+  std::unique_ptr<ServingCorpus> corpus_;
   std::unique_ptr<SchemrService> service_;
 };
 

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "index/indexer.h"
 #include "core/search_engine.h"
+#include "core/serving_corpus.h"
 #include "match/codebook.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
@@ -169,9 +169,9 @@ TEST(SearchEnginePagingTest, OffsetWalksTheRanking) {
                             .Attribute("height")
                             .Build());
   }
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SearchEngine engine(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SearchEngine engine(corpus->get());
 
   SearchEngineOptions all;
   all.top_k = 6;

@@ -326,11 +326,9 @@ TEST_F(ConcurrencyTest, AdmissionEwmaTracksServiceTime) {
 // --- the serving service -----------------------------------------------------
 
 TEST_F(ConcurrencyTest, ServiceRequiresCorpusModeForServing) {
-  auto repo = SchemaRepository::OpenInMemory();
-  (void)*repo->Insert(ClinicSchema("static"));
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SchemrService service(repo.get(), &indexer.index());
+  auto corpus = MakeCorpus(1);
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SchemrService service((*corpus)->repository(), (*corpus)->Snapshot());
   EXPECT_FALSE(service.StartServing().ok());
   EXPECT_FALSE(service.serving());
 }

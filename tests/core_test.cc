@@ -12,8 +12,8 @@
 #include "core/query_graph.h"
 #include "core/query_parser.h"
 #include "core/search_engine.h"
+#include "core/serving_corpus.h"
 #include "core/tightness_of_fit.h"
-#include "index/indexer.h"
 #include "repo/schema_repository.h"
 #include "schema/entity_graph.h"
 #include "schema/schema_builder.h"
@@ -306,44 +306,44 @@ TEST(TightnessOfFitTest, ScoreNeverExceedsUnpenalizedMean) {
 // --- candidate extractor + search engine ------------------------------------------------
 
 struct EngineFixture {
-  std::unique_ptr<SchemaRepository> repo;
-  std::unique_ptr<Indexer> indexer;
+  std::unique_ptr<ServingCorpus> corpus;
   SchemaId clinic_id = 0, shop_id = 0, scattered_id = 0;
 };
 
 EngineFixture MakeEngineFixture() {
   EngineFixture f;
-  f.repo = SchemaRepository::OpenInMemory();
-  f.clinic_id = *f.repo->Insert(SchemaBuilder("clinic")
-                                    .Entity("patient")
-                                    .Attribute("height", DataType::kDouble)
-                                    .Attribute("gender")
-                                    .Attribute("diagnosis")
-                                    .Build());
-  f.shop_id = *f.repo->Insert(SchemaBuilder("shop")
-                                  .Entity("customer")
-                                  .Attribute("name")
-                                  .Attribute("email")
+  auto repo = SchemaRepository::OpenInMemory();
+  f.clinic_id = *repo->Insert(SchemaBuilder("clinic")
+                                  .Entity("patient")
+                                  .Attribute("height", DataType::kDouble)
+                                  .Attribute("gender")
+                                  .Attribute("diagnosis")
                                   .Build());
+  f.shop_id = *repo->Insert(SchemaBuilder("shop")
+                                .Entity("customer")
+                                .Attribute("name")
+                                .Attribute("email")
+                                .Build());
   // Same terms as clinic but scattered over unrelated entities.
-  f.scattered_id = *f.repo->Insert(SchemaBuilder("scattered")
-                                       .Entity("a")
-                                       .Attribute("height")
-                                       .Entity("b")
-                                       .Attribute("gender")
-                                       .Entity("c")
-                                       .Attribute("diagnosis")
-                                       .Entity("d")
-                                       .Attribute("patient")
-                                       .Build());
-  f.indexer = std::make_unique<Indexer>();
-  EXPECT_TRUE(f.indexer->RebuildFromRepository(*f.repo).ok());
+  f.scattered_id = *repo->Insert(SchemaBuilder("scattered")
+                                     .Entity("a")
+                                     .Attribute("height")
+                                     .Entity("b")
+                                     .Attribute("gender")
+                                     .Entity("c")
+                                     .Attribute("diagnosis")
+                                     .Entity("d")
+                                     .Attribute("patient")
+                                     .Build());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  f.corpus = *std::move(corpus);
   return f;
 }
 
 TEST(CandidateExtractorTest, PoolSizeAndScores) {
   EngineFixture f = MakeEngineFixture();
-  CandidateExtractor extractor(&f.indexer->index());
+  CandidateExtractor extractor(f.corpus->Snapshot()->index.get());
   QueryGraph query;
   query.AddKeyword("patient height gender diagnosis");
 
@@ -358,7 +358,7 @@ TEST(CandidateExtractorTest, PoolSizeAndScores) {
 
 TEST(SearchEngineTest, EndToEndRanksTightSchemaFirst) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   auto results = engine.SearchKeywords("patient height gender diagnosis");
   ASSERT_TRUE(results.ok()) << results.status();
   ASSERT_EQ(results->size(), 2u);
@@ -383,7 +383,7 @@ TEST(SearchEngineTest, EndToEndRanksTightSchemaFirst) {
 
 TEST(SearchEngineTest, FragmentQueryFindsStructuralMatch) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   auto query = ParseQuery(
       "", "CREATE TABLE patient (height DOUBLE, gender VARCHAR(8));");
   ASSERT_TRUE(query.ok());
@@ -395,7 +395,7 @@ TEST(SearchEngineTest, FragmentQueryFindsStructuralMatch) {
 
 TEST(SearchEngineTest, AblationsChangeBehavior) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
 
   SearchEngineOptions phase1_only;
   phase1_only.enable_matching = false;
@@ -417,7 +417,7 @@ TEST(SearchEngineTest, AblationsChangeBehavior) {
 
 TEST(SearchEngineTest, TopKBoundsResults) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   SearchEngineOptions options;
   options.top_k = 1;
   auto results = engine.SearchKeywords("patient height gender", options);
@@ -426,11 +426,10 @@ TEST(SearchEngineTest, TopKBoundsResults) {
 }
 
 TEST(SearchEngineTest, RepositoryIndexEngineCaches) {
-  // The (repository, index) constructor pins a versioned snapshot, so its
-  // engine caches like any other: the second identical search is a hit
-  // with the same answer.
+  // An engine over a pinned snapshot caches like a live one: the second
+  // identical search is a hit with the same answer.
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus->Snapshot());
   engine.EnableResultCache(4);
   SearchStats first_stats;
   SearchEngineOptions options;
@@ -452,14 +451,14 @@ TEST(SearchEngineTest, RepositoryIndexEngineCaches) {
 
 TEST(SearchEngineTest, EmptyQueryRejected) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   QueryGraph empty;
   EXPECT_FALSE(engine.Search(empty).ok());
 }
 
 TEST(SearchEngineTest, NoHitsYieldsEmptyNotError) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   auto results = engine.SearchKeywords("zzz qqq www");
   ASSERT_TRUE(results.ok());
   EXPECT_TRUE(results->empty());
@@ -491,7 +490,7 @@ TEST(SearchDegradationTest, ThrowingMatcherIsIsolatedNotFatal) {
   EngineFixture f = MakeEngineFixture();
   MatcherEnsemble ensemble = MatcherEnsemble::PaperMinimal();
   ensemble.AddMatcher(std::make_unique<ThrowingMatcher>(), 1.0);
-  SearchEngine engine(f.repo.get(), &f.indexer->index(), std::move(ensemble));
+  SearchEngine engine(f.corpus.get(), std::move(ensemble));
 
   SearchStats stats;
   SearchEngineOptions options;
@@ -510,7 +509,7 @@ TEST(SearchDegradationTest, ThrowingMatcherIsIsolatedNotFatal) {
 
 TEST(SearchDegradationTest, HealthySearchIsNotFlaggedDegraded) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   SearchStats stats;
   SearchEngineOptions options;
   options.stats = &stats;
@@ -526,7 +525,7 @@ TEST(SearchDegradationTest, HealthySearchIsNotFlaggedDegraded) {
 
 TEST(SearchDegradationTest, DeadlineFallsBackToCoarseRanking) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   SearchStats stats;
   SearchEngineOptions options;
   options.stats = &stats;
@@ -549,7 +548,7 @@ TEST(SearchDegradationTest, MatcherBudgetBenchesSlowMatcher) {
   EngineFixture f = MakeEngineFixture();
   MatcherEnsemble ensemble = MatcherEnsemble::PaperMinimal();
   ensemble.AddMatcher(std::make_unique<SlowMatcher>(), 1.0);
-  SearchEngine engine(f.repo.get(), &f.indexer->index(), std::move(ensemble));
+  SearchEngine engine(f.corpus.get(), std::move(ensemble));
 
   SearchStats stats;
   SearchEngineOptions options;
@@ -572,7 +571,7 @@ TEST(SearchDegradationTest, AllMatchersFailingStillReturnsRankedResults) {
   EngineFixture f = MakeEngineFixture();
   MatcherEnsemble ensemble;
   ensemble.AddMatcher(std::make_unique<ThrowingMatcher>(), 1.0);
-  SearchEngine engine(f.repo.get(), &f.indexer->index(), std::move(ensemble));
+  SearchEngine engine(f.corpus.get(), std::move(ensemble));
 
   SearchStats stats;
   SearchEngineOptions options;

@@ -75,7 +75,7 @@ TEST(HarnessTest, FixtureBuildsSearchableCorpus) {
   ASSERT_TRUE(fixture.ok()) << fixture.status();
   EXPECT_EQ(fixture->ids.size(), 60u);
   EXPECT_EQ(fixture->index().NumDocs(), 60u);
-  EXPECT_EQ(fixture->repository->Size(), 60u);
+  EXPECT_EQ(fixture->repository()->Size(), 60u);
   size_t mapped = 0;
   for (const auto& [concept_id, ids] : fixture->relevance) {
     mapped += ids.size();
@@ -96,7 +96,7 @@ TEST(HarnessTest, EvaluateEngineProducesSaneMetrics) {
   std::vector<WorkloadQuery> workload =
       GenerateQueryWorkload(workload_options);
 
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
   auto summary = EvaluateEngine(engine, *fixture, workload);
   ASSERT_TRUE(summary.ok()) << summary.status();
   EXPECT_GT(summary->num_queries, 10u);

@@ -9,7 +9,6 @@
 #include "core/composer.h"
 #include "core/search_engine.h"
 #include "core/serving_corpus.h"
-#include "index/indexer.h"
 #include "match/ensemble.h"
 #include "match/mapping.h"
 #include "parse/xsd_importer.h"
@@ -196,9 +195,9 @@ TEST(AnnotationsTest, BoostLiftsEndorsedSchemas) {
   ASSERT_TRUE(repo->AddRating(endorsed, {"bob", 5}).ok());
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(repo->RecordUsage(endorsed).ok());
 
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SearchEngine engine(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SearchEngine engine(corpus->get());
 
   SearchEngineOptions boosted;
   boosted.annotation_boost = 0.5;
@@ -215,11 +214,7 @@ TEST(AnnotationsTest, BoostLiftsEndorsedSchemas) {
 
   // The same through a pinned service: the service's repository answers
   // the annotation reads.
-  auto snapshot = PinSnapshot(*repo, std::shared_ptr<const InvertedIndex>(
-                                         std::shared_ptr<void>(),
-                                         &indexer.index()));
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  SchemrService pinned(repo.get(), *snapshot);
+  SchemrService pinned((*corpus)->repository(), (*corpus)->Snapshot());
   SearchRequest request;
   request.keywords = "patient height gender";
   auto served = pinned.Search(request, boosted);
@@ -236,13 +231,9 @@ TEST(AnnotationsTest, BoostWithoutAnnotationRepositoryIsInvalidArgument) {
                                .Attribute("height")
                                .Build())
                   .ok());
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  auto snapshot = PinSnapshot(*repo, std::shared_ptr<const InvertedIndex>(
-                                         std::shared_ptr<void>(),
-                                         &indexer.index()));
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  const SearchEngine engine(*snapshot);  // no annotation repository
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  const SearchEngine engine((*corpus)->Snapshot());  // no annotation repository
 
   SearchEngineOptions boosted;
   boosted.annotation_boost = 0.5;

@@ -1,8 +1,9 @@
 // Integration tests across modules: the full architecture round trip
-// (repository on disk → offline indexer → saved segment → search service →
-// XML/GraphML), pipeline quality ordering (the paper's central claim that
-// matching + tightness improve on text search alone), and meta-learned
-// weights vs uniform.
+// (repository on disk → ServingCorpus::Open builds and saves the index
+// segment → search service → reopen adopts the segment → XML/GraphML),
+// pipeline quality ordering (the paper's central claim that matching +
+// tightness improve on text search alone), and meta-learned weights vs
+// uniform.
 
 #include <gtest/gtest.h>
 
@@ -38,11 +39,13 @@ TEST(IntegrationTest, FullArchitectureRoundTripOnDisk) {
     for (const GeneratedSchema& g : corpus) {
       ASSERT_TRUE((*repo)->Insert(g.schema).ok());
     }
-    Indexer indexer;
-    ASSERT_TRUE(indexer.RebuildFromRepository(**repo).ok());
-    ASSERT_TRUE(indexer.Save(index_path.string()).ok());
+    OpenReport opened;
+    auto served = ServingCorpus::Open(*std::move(repo), dir.string(), &opened);
+    ASSERT_TRUE(served.ok()) << served.status();
+    ASSERT_TRUE(opened.persisted.ok()) << opened.persisted;
+    ASSERT_TRUE(fs::exists(index_path));
 
-    SchemrService service(repo->get(), &indexer.index());
+    SchemrService service(served->get());
     SearchRequest request;
     request.keywords = "patient height gender diagnosis";
     auto results = service.Search(request);
@@ -56,11 +59,13 @@ TEST(IntegrationTest, FullArchitectureRoundTripOnDisk) {
     auto repo = SchemaRepository::Open((dir / "store").string());
     ASSERT_TRUE(repo.ok());
     EXPECT_EQ((*repo)->Size(), corpus.size());
-    Indexer indexer;
-    ASSERT_TRUE(indexer.LoadFrom(index_path.string()).ok());
-    EXPECT_EQ(indexer.index().NumDocs(), corpus.size());
+    OpenReport opened;
+    auto served = ServingCorpus::Open(*std::move(repo), dir.string(), &opened);
+    ASSERT_TRUE(served.ok()) << served.status();
+    ASSERT_TRUE(opened.index_adopted);
+    EXPECT_EQ((*served)->Snapshot()->index->NumDocs(), corpus.size());
 
-    SchemrService service(repo->get(), &indexer.index());
+    SchemrService service(served->get());
     SearchRequest request;
     request.keywords = "patient height gender diagnosis";
     auto results = service.Search(request);
@@ -105,7 +110,7 @@ PipelineQuality MeasurePipelineStages() {
   std::vector<WorkloadQuery> workload =
       GenerateQueryWorkload(workload_options);
 
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
 
   PipelineQuality q;
   SearchEngineOptions coarse;
@@ -146,7 +151,7 @@ TEST(IntegrationTest, MetaLearnedWeightsDoNotHurt) {
       GenerateQueryWorkload(workload_options);
 
   // Uniform ensemble.
-  SearchEngine uniform(fixture->repository.get(), &fixture->index());
+  SearchEngine uniform(fixture->serving.get());
   QualitySummary uniform_quality =
       *EvaluateEngine(uniform, *fixture, workload);
 
@@ -158,8 +163,7 @@ TEST(IntegrationTest, MetaLearnedWeightsDoNotHurt) {
   auto model = TrainLogisticModel(records);
   ASSERT_TRUE(model.ok());
   trained_ensemble.SetWeights(model->NormalizedWeights());
-  SearchEngine trained(fixture->repository.get(), &fixture->index(),
-                       std::move(trained_ensemble));
+  SearchEngine trained(fixture->serving.get(), std::move(trained_ensemble));
   QualitySummary trained_quality =
       *EvaluateEngine(trained, *fixture, workload);
 
@@ -176,7 +180,7 @@ TEST(IntegrationTest, XsdAndDdlFragmentsAgreeOnIntent) {
   corpus_options.seed = 60;
   auto fixture = CorpusFixture::Build(corpus_options);
   ASSERT_TRUE(fixture.ok());
-  SchemrService service(fixture->repository.get(), &fixture->index());
+  SchemrService service(fixture->serving.get());
 
   SearchRequest ddl_request;
   ddl_request.keywords = "";

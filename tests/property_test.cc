@@ -45,7 +45,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
 TEST_P(SeededProperty, SelfRetrieval) {
   auto fixture = CorpusFixture::Build(CorpusFor(120));
   ASSERT_TRUE(fixture.ok());
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
   Rng rng(GetParam() ^ 0xABCD);
 
   for (int trial = 0; trial < 8; ++trial) {
@@ -272,7 +272,7 @@ TEST_P(SeededProperty, VisualizationInvariants) {
 TEST_P(SeededProperty, SearchIsDeterministic) {
   auto fixture = CorpusFixture::Build(CorpusFor(80));
   ASSERT_TRUE(fixture.ok());
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
   auto query = ParseQuery("patient height gender diagnosis");
   ASSERT_TRUE(query.ok());
   auto first = engine.Search(*query);

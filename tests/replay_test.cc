@@ -13,7 +13,6 @@
 #include "core/fingerprint.h"
 #include "core/serving_corpus.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "obs/audit_log.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
@@ -83,8 +82,8 @@ TEST(WorkloadXmlTest, SaveAndLoadThroughAFile) {
 class ReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    repo_ = SchemaRepository::OpenInMemory();
-    ASSERT_TRUE(repo_
+    auto repo = SchemaRepository::OpenInMemory();
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("sales")
                                  .Entity("customer")
                                  .Attribute("id")
@@ -95,7 +94,7 @@ class ReplayTest : public ::testing::Test {
                                  .Attribute("total")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(repo_
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("billing")
                                  .Entity("invoice")
                                  .Attribute("id")
@@ -105,24 +104,20 @@ class ReplayTest : public ::testing::Test {
                                  .Attribute("invoice_id")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(repo_
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("crm")
                                  .Entity("customer")
                                  .Attribute("id")
                                  .Attribute("email")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(indexer_.RebuildFromRepository(*repo_).ok());
-    // Non-owning alias: indexer_ outlives the snapshot here.
-    auto pinned = PinSnapshot(*repo_, std::shared_ptr<const InvertedIndex>(
-                                          std::shared_ptr<void>(),
-                                          &indexer_.index()));
-    ASSERT_TRUE(pinned.ok()) << pinned.status();
-    snapshot_ = *std::move(pinned);
+    auto corpus = ServingCorpus::Create(std::move(repo));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    corpus_ = *std::move(corpus);
+    snapshot_ = corpus_->Snapshot();
   }
 
-  std::unique_ptr<SchemaRepository> repo_;
-  Indexer indexer_;
+  std::unique_ptr<ServingCorpus> corpus_;
   std::shared_ptr<const CorpusSnapshot> snapshot_;
 };
 
@@ -217,13 +212,9 @@ TEST_F(ReplayTest, CommittedSampleWorkloadIsThreadCountIndependent) {
   for (GeneratedSchema& generated : GenerateCorpus(corpus_options)) {
     ASSERT_TRUE(repo->Insert(std::move(generated.schema)).ok());
   }
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  auto pinned = PinSnapshot(*repo, std::shared_ptr<const InvertedIndex>(
-                                       std::shared_ptr<void>(),
-                                       &indexer.index()));
-  ASSERT_TRUE(pinned.ok()) << pinned.status();
-  const std::shared_ptr<const CorpusSnapshot> snapshot = *std::move(pinned);
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  const std::shared_ptr<const CorpusSnapshot> snapshot = (*corpus)->Snapshot();
 
   auto serial = ReplayWorkload(snapshot, *workload);
   ASSERT_TRUE(serial.ok()) << serial.status();
@@ -261,7 +252,7 @@ TEST_F(ReplayTest, LoadsWorkloadFromAnAuditLog) {
 
   // A service with a sub-microsecond slow threshold retains query text on
   // every record, so every request becomes replayable.
-  SchemrService service(repo_.get(), &indexer_.index());
+  SchemrService service(corpus_.get());
   AuditLogOptions slow_everything;
   slow_everything.slow_threshold_seconds = 0.0;
   ASSERT_TRUE(service.EnableAudit(dir.string(), slow_everything).ok());
@@ -289,7 +280,7 @@ TEST_F(ReplayTest, LoadsWorkloadFromAnAuditLog) {
 
   // Fast records without text are skipped, not errors.
   fs::remove_all(dir);
-  SchemrService fast_service(repo_.get(), &indexer_.index());
+  SchemrService fast_service(corpus_.get());
   ASSERT_TRUE(fast_service.EnableAudit(dir.string()).ok());  // 250ms bar
   request.keywords = "customer";
   (void)fast_service.HandleSearchXml(request);

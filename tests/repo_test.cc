@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <vector>
 
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
@@ -112,6 +114,53 @@ TEST(SchemaRepositoryTest, PersistsAcrossReopenWithIdContinuity) {
     ASSERT_TRUE(next.ok());
     EXPECT_GT(*next, first_id + 1);
   }
+  fs::remove_all(dir);
+}
+
+TEST(SchemaRepositoryTest, ByteFlipInNewestSegmentCostsOneSchema) {
+  // The repository always opens its store in salvage mode, so damage in
+  // the newest segment that later records follow costs the damaged
+  // schema only -- not every schema written after it -- and the repair
+  // report names it.
+  fs::path dir = fs::temp_directory_path() / "schemr_repo_test_byte_flip";
+  fs::remove_all(dir);
+  std::vector<SchemaId> ids;
+  {
+    auto repo = SchemaRepository::Open(dir.string());
+    ASSERT_TRUE(repo.ok()) << repo.status();
+    for (int i = 0; i < 10; ++i) {
+      auto id = (*repo)->Insert(MakeSchema("schema" + std::to_string(i)));
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids.push_back(*id);
+    }
+  }
+  std::vector<fs::path> segments;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".seg") segments.push_back(entry.path());
+  }
+  ASSERT_EQ(segments.size(), 1u);
+  const uint64_t size = fs::file_size(segments[0]);
+  {
+    // A third of the way in: inside a schema record in the middle.
+    std::fstream file(segments[0],
+                      std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(size / 3);
+    file.seekg(at);
+    char byte = 0;
+    file.get(byte);
+    file.seekp(at);
+    file.put(static_cast<char>(byte ^ 0x40));
+  }
+
+  auto repo = SchemaRepository::Open(dir.string());
+  ASSERT_TRUE(repo.ok()) << repo.status();
+  EXPECT_EQ((*repo)->Size(), 9u);
+  EXPECT_TRUE((*repo)->Contains(ids.back()));
+  auto report = (*repo)->GetRepairReport();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->corrupt_regions, 1u);
+  EXPECT_GT(report->salvaged_records, 0u);
+  EXPECT_EQ(fs::file_size(segments[0]), size);
   fs::remove_all(dir);
 }
 

@@ -21,7 +21,6 @@
 #include "core/search_engine.h"
 #include "core/serving_corpus.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "match/context_matcher.h"
 #include "match/ensemble.h"
 #include "match/features.h"
@@ -551,24 +550,21 @@ TEST(CatalogBuilderTest, BuildSecondsCoverAddAndBuild) {
 // --- engine equivalence -----------------------------------------------------------
 
 struct EngineFixture {
-  std::unique_ptr<SchemaRepository> repo;
-  std::shared_ptr<Indexer> indexer;
+  std::unique_ptr<ServingCorpus> corpus;
   std::shared_ptr<const CorpusSnapshot> snapshot;  ///< with catalog
 };
 
 EngineFixture MakeEngineFixture(size_t n = 24) {
   EngineFixture f;
-  f.repo = SchemaRepository::OpenInMemory();
+  auto repo = SchemaRepository::OpenInMemory();
   for (Schema& s : SmallCorpus(n)) {
-    auto id = f.repo->Insert(std::move(s));
+    auto id = repo->Insert(std::move(s));
     EXPECT_TRUE(id.ok());
   }
-  f.indexer = std::make_shared<Indexer>();
-  EXPECT_TRUE(f.indexer->RebuildFromRepository(*f.repo).ok());
-  auto snapshot = PinSnapshot(*f.repo, std::shared_ptr<const InvertedIndex>(
-                                           f.indexer, &f.indexer->index()));
-  EXPECT_TRUE(snapshot.ok()) << snapshot.status();
-  f.snapshot = *std::move(snapshot);
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  f.corpus = *std::move(corpus);
+  f.snapshot = f.corpus->Snapshot();
   return f;
 }
 
@@ -659,8 +655,8 @@ TEST(EnginePrefilterTest, CatalogPathBitIdenticalToLegacyAtAnyThreadCount) {
 }
 
 TEST(EngineGoldenTest, AnswerDigestOfCorpusAndStaticEngines) {
-  // Every answer a corpus engine and a static (repository, index) engine
-  // give over one 200-schema corpus, folded into one digest and pinned:
+  // Every answer a live-corpus engine and a pinned-snapshot engine give
+  // over one 200-schema corpus, folded into one digest and pinned:
   // keyword and FK-fragment queries, pruning on and off, one and four
   // scoring threads. DigestResults rounds scores to float, so one-ulp
   // libm drift cannot move it; any change to an answer must fail here.
@@ -670,10 +666,8 @@ TEST(EngineGoldenTest, AnswerDigestOfCorpusAndStaticEngines) {
   }
   auto corpus = ServingCorpus::Create(std::move(repo));
   ASSERT_TRUE(corpus.ok()) << corpus.status();
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*(*corpus)->repository()).ok());
   const SearchEngine served(corpus->get());
-  const SearchEngine standalone((*corpus)->repository(), &indexer.index());
+  const SearchEngine standalone((*corpus)->Snapshot());
 
   std::vector<QueryGraph> queries;
   for (const char* q : kQueries) queries.push_back(*ParseQuery(q));
@@ -956,7 +950,7 @@ TEST(EnginePrefilterTest, MissingCatalogEntryIsNeverRejected) {
   SearchEngine engine(snapshot);
   SearchEngineOptions screened;
   screened.prefilter = 0.9999;
-  auto schema = f.repo->Get(dropped);
+  auto schema = f.corpus->repository()->Get(dropped);
   ASSERT_TRUE(schema.ok());
   // Query with the dropped schema's own name: it must be reachable even
   // though everything with a signature is screened out at this threshold.

@@ -409,5 +409,65 @@ TEST_F(KvStoreTest, ByteFlipRecoveryProperty) {
   }
 }
 
+/// Salvage mode treats damage in the newest segment like damage in an
+/// older one when a checksummed record follows it: only that record is
+/// lost, and the report says so. (Only damage that nothing valid follows
+/// is a crashed tail.)
+TEST_F(KvStoreTest, SalvageQuarantinesNewestSegmentDamageBeforeValidRecords) {
+  KvStoreOptions options;
+  options.sync_on_write = true;
+  {
+    auto store = OpenStore(options);
+    for (int i = 0; i < 10; ++i) {
+      std::string key = "key" + std::to_string(i);
+      ASSERT_TRUE(store->Put(key, ValueFor(key)).ok());
+    }
+    ASSERT_EQ(store->GetStats().segment_count, 1u);
+  }
+  // Ten records of one size in the one (newest) segment: flip a bit in
+  // the middle of the third.
+  const fs::path segment = FirstSegment();
+  const uint64_t size = fs::file_size(segment);
+  ASSERT_EQ(size % 10, 0u);
+  const uint64_t record = size / 10;
+  {
+    std::fstream file(segment,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(2 * record + record / 2);
+    file.seekg(at);
+    char byte = 0;
+    file.get(byte);
+    file.seekp(at);
+    file.put(static_cast<char>(byte ^ 0x01));
+  }
+
+  KvStoreOptions salvage = options;
+  salvage.salvage_corrupt_segments = true;
+  auto store = OpenStore(salvage);
+  EXPECT_EQ(store->Size(), 9u);
+  EXPECT_TRUE(store->Get("key2").status().IsNotFound());
+  for (int i = 0; i < 10; ++i) {
+    if (i == 2) continue;
+    std::string key = "key" + std::to_string(i);
+    auto value = store->Get(key);
+    ASSERT_TRUE(value.ok()) << key << ": " << value.status();
+    EXPECT_EQ(*value, ValueFor(key));
+  }
+  const KvRepairReport& report = store->repair_report();
+  EXPECT_EQ(report.corrupt_segments, 1u);
+  EXPECT_EQ(report.corrupt_regions, 1u);
+  EXPECT_EQ(report.skipped_bytes, record);
+  EXPECT_EQ(report.salvaged_records, 7u);
+  EXPECT_EQ(fs::file_size(segment), size) << "nothing may be truncated";
+
+  // Appends continue after the salvaged records, and survive a reopen.
+  ASSERT_TRUE(store->Put("after", "salvage").ok());
+  store.reset();
+  store = OpenStore(salvage);
+  EXPECT_EQ(store->Size(), 10u);
+  EXPECT_EQ(*store->Get("after"), "salvage");
+  EXPECT_EQ(*store->Get("key9"), ValueFor("key9"));
+}
+
 }  // namespace
 }  // namespace schemr

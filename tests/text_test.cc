@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "text/analyzer.h"
 #include "text/lexicon.h"
 #include "text/ngram.h"
@@ -71,6 +73,10 @@ struct StemCase {
   const char* input;
   const char* expected;
 };
+
+/// Prints a case as its input word, so each case's test name is that word
+/// rather than the bytes of two pointers.
+void PrintTo(const StemCase& c, std::ostream* os) { *os << c.input; }
 
 class PorterStemTest : public ::testing::TestWithParam<StemCase> {};
 
